@@ -287,10 +287,6 @@ def to_cyclotomic(F: FactorForm) -> CycloVector:
     return CycloVector(exps)
 
 
-def cyclo_degree(v: CycloVector) -> int:
-    return v.degree()
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     """Coefficients of Phi_d, lowest degree first, by exact division of

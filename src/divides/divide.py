@@ -13,7 +13,7 @@ disc are honest faces of the map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .singularity import (
@@ -37,6 +37,12 @@ class DivideError(ValueError):
 class Branch:
     closed: bool
     walk: tuple[int, ...]
+
+    def steps(self):
+        """Consecutive half-edge pairs (h1, h2) of the walk, wrapping
+        around when the branch is closed."""
+        w = self.walk
+        return zip(w, w[1:] + w[:1]) if self.closed else zip(w, w[1:])
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,7 @@ class Divide:
                 used.add(abs(h))
                 if h not in seen_halves:
                     raise StructureError(f"walk of branch {bid} uses unknown half-edge {h}")
-            pairs = zip(br.walk, br.walk[1:] + (br.walk[0],)) if br.closed else zip(br.walk, br.walk[1:])
-            for h1, h2 in pairs:
+            for h1, h2 in br.steps():
                 if self._origin[-h1] != self._origin[h2]:
                     raise StructureError(
                         f"walk of branch {bid} breaks at {h1}->{h2}: head {self._origin[-h1]} vs tail {self._origin[h2]}"
@@ -144,8 +149,7 @@ class Divide:
         """
         out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.crossings}
         for bid, br in enumerate(self.branches):
-            pairs = zip(br.walk, br.walk[1:] + (br.walk[0],)) if br.closed else zip(br.walk, br.walk[1:])
-            for h1, h2 in pairs:
+            for h1, h2 in br.steps():
                 v = self.origin(h2)
                 if v in out:
                     out[v].append((-h1, h2, bid))
@@ -383,7 +387,13 @@ def validate(d: Divide) -> list[Violation]:
 
 def _component_count(d: Divide) -> int:
     rot, origin, _ = d._augmented
-    parent = {v: v for v in rot}
+    return _count_components(rot, ((v, origin[-h]) for h, v in origin.items()))
+
+
+def _count_components(nodes, links) -> int:
+    """Connected components of the graph on ``nodes`` with edges ``links``
+    (union-find)."""
+    parent = {v: v for v in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -391,14 +401,11 @@ def _component_count(d: Divide) -> int:
             x = parent[x]
         return x
 
-    def union(a, b):
+    for a, b in links:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-
-    for h, v in origin.items():
-        union(v, origin[-h])
-    return len({find(v) for v in rot})
+    return len({find(v) for v in parent})
 
 
 # --- two-coloring --------------------------------------------------------------
@@ -484,32 +491,11 @@ def body(d: Divide) -> BodyReport:
             verts.add(d.origin(h))
     # connectivity of the union of closed faces: faces glue along shared
     # edges or shared vertices
-    parent = {("f", f): ("f", f) for f in inner}
-    for e in edges:
-        parent[("e", e)] = ("e", e)
-    for v in verts:
-        parent[("v", v)] = ("v", v)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for fid in inner:
-        for h in d.faces[fid]:
-            union(("f", fid), ("e", abs(h)))
-            union(("f", fid), ("v", d.origin(h)))
-    for e in edges:
-        union(("e", e), ("v", d.origin(e)))
-        union(("e", e), ("v", d.head(e)))
-    comps = {find(("f", f)) for f in inner} | {find(("e", e)) for e in edges} | {find(("v", v)) for v in verts}
-    connected = len(comps) == 1
+    nodes = [("f", f) for f in inner] + [("e", e) for e in edges] + [("v", v) for v in verts]
+    links = [(("f", fid), cell) for fid in inner for h in d.faces[fid]
+             for cell in (("e", abs(h)), ("v", d.origin(h)))]
+    links += [(("e", e), ("v", v)) for e in edges for v in (d.origin(e), d.head(e))]
+    connected = _count_components(nodes, links) == 1
     euler = len(verts) - len(edges) + len(inner)
     return BodyReport(
         tuple(inner),
@@ -611,10 +597,6 @@ def check_against_type(d: Divide, s: SingularityType, assignment: dict) -> Check
     total = sum(M[i][j] for i in range(nb) for j in range(i, nb))
     items.append(CheckItem("total crossings", expected_node_count(s), total))
 
-    def slot_of(bid):
-        kind, k = assignment[bid]
-        return (kind, k)
-
     for bid in range(nb):
         kind, k = assignment[bid]
         if kind == "real":
@@ -626,7 +608,7 @@ def check_against_type(d: Divide, s: SingularityType, assignment: dict) -> Check
 
     for i in range(nb):
         for j in range(i + 1, nb):
-            ki, kj = slot_of(i), slot_of(j)
+            ki, kj = assignment[i], assignment[j]
             if ki[0] == "real" and kj[0] == "real":
                 expect = s.intersections[ki[1]][kj[1]]
             elif ki[0] == "real" and kj[0] == "pair":

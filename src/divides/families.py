@@ -12,11 +12,12 @@ u = +-iv; the complex line coordinates are w = u + iv and its conjugate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
 
+import numpy as np
 import sympy
 
 from .singularity import BranchType, SingularityType
@@ -58,25 +59,35 @@ class FamilySpec:
     def window(self, t: float) -> float:
         return self.window_fn(t)
 
-    def expr_at(self, t: float | None) -> sympy.Expr:
-        if self.param_solver is None or t is None:
+    def expr_at(self, t: float) -> sympy.Expr:
+        if self.param_solver is None:
             return self.expr
         return self.expr.subs(self.param_solver(t))
 
-    def evaluators(self, t: float | None = None):
-        """Vectorized F, dF/dx, dF/dy, plus second partials for saddles."""
-        expr = self.expr_at(t)
-        fx = sympy.diff(expr, X)
-        fy = sympy.diff(expr, Y)
-        mods = ["numpy"]
-        return (
-            sympy.lambdify((X, Y, T), expr, mods),
-            sympy.lambdify((X, Y, T), fx, mods),
-            sympy.lambdify((X, Y, T), fy, mods),
-            sympy.lambdify((X, Y, T), sympy.diff(fx, X), mods),
-            sympy.lambdify((X, Y, T), sympy.diff(fx, Y), mods),
-            sympy.lambdify((X, Y, T), sympy.diff(fy, Y), mods),
-        )
+    def evaluators(self, t: float):
+        """F, dF/dx, dF/dy and the second partials Fxx, Fxy, Fyy at t.
+
+        Each maps a point (x, y) to a float, and 1-D arrays xs, ys to the
+        grid of values at (xs[i], ys[j]).
+        """
+        terms = dict(sympy.Poly(self.expr_at(t).subs(T, t), X, Y).terms())
+        C = np.zeros(np.max(list(terms), axis=0) + 1)
+        for ij, c in terms.items():
+            C[ij] = float(c)
+        der = np.polynomial.polynomial.polyder
+        Cx, Cy = der(C, axis=0), der(C, axis=1)
+        return tuple(map(_power_sum, (C, Cx, Cy, der(Cx, axis=0), der(Cx, axis=1), der(Cy, axis=1))))
+
+
+def _power_sum(C: np.ndarray):
+    """(x, y) -> sum of C[i, j] x^i y^j."""
+    # float exponents spare numpy a cast on every call; the powers are the same
+    ex, ey = np.arange(C.shape[0], dtype=float), np.arange(C.shape[1], dtype=float)
+
+    def evaluate(x, y):
+        return np.power.outer(x, ex) @ C @ np.power.outer(y, ey).T
+
+    return evaluate
 
 
 def _num(value):
@@ -251,8 +262,6 @@ def chebyshev_like(p: int, c: float) -> list[float]:
     scale = c ** (1.0 / p)
     coeffs = [cur[j] * c * scale ** (-j) for j in range(p)] + [1.0]
 
-    import numpy as np
-
     poly = np.polynomial.Polynomial(coeffs)
     crit = sorted(r.real for r in poly.deriv().roots() if abs(r.imag) < 1e-9)
     if len(crit) != p - 1:
@@ -278,8 +287,6 @@ def radial_profile_levels(p: int, q: int, abs_a: float, t: float) -> list[float]
     seeds the Newton solve.  Exact critical values put the curve's saddles
     exactly on the zero level.
     """
-    import numpy as np
-
     tau = t ** ((q - p) / p)
     cheb = chebyshev_like(p, abs_a)
     poly0 = np.polynomial.Polynomial(cheb)
@@ -374,8 +381,6 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
     branch = BranchType((p, q))
     inter = p * p
     sing = SingularityType((), (branch,), ((0, inter), (inter, 0)))
-
-    import numpy as np
 
     poly = np.polynomial.Polynomial(chebyshev_like(p, mod_a))
     lam0 = 1.0
@@ -495,8 +500,6 @@ def _proportional(v1, v2) -> bool:
 def _conic_pair_points(quads, levels, label="quadrics"):
     """Intersection points of each conic pair; errors unless every pair
     meets in four distinct real points and all points are distinct."""
-    import numpy as np
-
     all_pts = []
     for i in range(len(quads)):
         for j in range(i + 1, len(quads)):
@@ -649,6 +652,10 @@ def family_from_expression(expr, window: float, expected_nodes: int | None = Non
     extra = expr.free_symbols - {X, Y, T}
     if extra:
         raise FamilyError(f"expression may only involve x, y, t; found {extra}")
+    try:
+        sympy.Poly(expr, X, Y)
+    except sympy.PolynomialError as exc:
+        raise FamilyError(f"expression is not a polynomial in x, y: {exc}") from exc
     return FamilySpec(
         expr=sympy.expand(expr),
         expected_nodes=expected_nodes,

@@ -244,7 +244,6 @@ def singularity_from_json(obj: dict) -> SingularityType:
         given[pair] = int(val)
 
     table = [[0] * n for _ in range(n)]
-    seen = set(given)
     # close under conjugation symmetry, rejecting conflicts
     changed = True
     entries = dict(given)
@@ -265,7 +264,6 @@ def singularity_from_json(obj: dict) -> SingularityType:
             if (i, j) not in entries:
                 raise InvalidSingularity(f"missing intersection entry for slots ({i},{j})")
             table[i][j] = table[j][i] = entries[(i, j)]
-    del seen
     return SingularityType(reals, pairs, tuple(tuple(row) for row in table))
 
 

@@ -9,7 +9,7 @@ assemble branches, boundary order, and the planar map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,21 +58,15 @@ class TracedDivide:
         return len(self.nodes)
 
 
-def _grid_eval(fun, xs, ys, t):
-    Xg, Yg = np.meshgrid(xs, ys, indexing="ij")
-    vals = fun(Xg, Yg, t)
-    return np.asarray(vals, dtype=float)
-
-
-def _refine_nodes(funs, seeds, t, window, f_scale):
+def _refine_nodes(funs, seeds, window, f_scale):
     f, fx, fy, fxx, fxy, fyy = funs
     found = []
     for x0, y0 in seeds:
         x, yv = float(x0), float(y0)
         ok = False
         for _ in range(60):
-            gx, gy = float(fx(x, yv, t)), float(fy(x, yv, t))
-            hxx, hxy, hyy = float(fxx(x, yv, t)), float(fxy(x, yv, t)), float(fyy(x, yv, t))
+            gx, gy = float(fx(x, yv)), float(fy(x, yv))
+            hxx, hxy, hyy = float(fxx(x, yv)), float(fxy(x, yv)), float(fyy(x, yv))
             det = hxx * hyy - hxy * hxy
             if abs(det) < 1e-300:
                 break
@@ -89,14 +83,14 @@ def _refine_nodes(funs, seeds, t, window, f_scale):
                 ok = True
                 break
         if not ok:
-            gx, gy = float(fx(x, yv, t)), float(fy(x, yv, t))
+            gx, gy = float(fx(x, yv)), float(fy(x, yv))
             if math.hypot(gx, gy) * window / f_scale < 1e-11:
                 ok = True
         if not ok:
             continue
-        fv = float(f(x, yv, t))
-        gx, gy = float(fx(x, yv, t)), float(fy(x, yv, t))
-        hxx, hxy, hyy = float(fxx(x, yv, t)), float(fxy(x, yv, t)), float(fyy(x, yv, t))
+        fv = float(f(x, yv))
+        gx, gy = float(fx(x, yv)), float(fy(x, yv))
+        hxx, hxy, hyy = float(fxx(x, yv)), float(fxy(x, yv)), float(fyy(x, yv))
         if hxx * hyy - hxy * hxy >= 0:
             continue  # extremum, not a saddle
         if abs(fv) / f_scale > 1e-6:
@@ -110,13 +104,13 @@ def _refine_nodes(funs, seeds, t, window, f_scale):
     return nodes
 
 
-def _node_certificates(funs, nodes, t, window, f_scale):
+def _node_certificates(funs, nodes, window, f_scale):
     f, fx, fy, fxx, fxy, fyy = funs
     infos = []
     for x, yv in nodes:
-        fv = abs(float(f(x, yv, t))) / f_scale
-        gv = math.hypot(float(fx(x, yv, t)), float(fy(x, yv, t))) * window / f_scale
-        hxx, hxy, hyy = float(fxx(x, yv, t)), float(fxy(x, yv, t)), float(fyy(x, yv, t))
+        fv = abs(float(f(x, yv))) / f_scale
+        gv = math.hypot(float(fx(x, yv)), float(fy(x, yv))) * window / f_scale
+        hxx, hxy, hyy = float(fxx(x, yv)), float(fxy(x, yv)), float(fyy(x, yv))
         # null directions of the Hessian quadratic form give the two
         # crossing tangents
         angles = _null_angles(hxx, hxy, hyy)
@@ -171,7 +165,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     f = funs[0]
     xs = np.linspace(-W, W, grid_n + 1)
     ys = np.linspace(-W, W, grid_n + 1)
-    F = _grid_eval(f, xs, ys, t)
+    F = f(xs, ys)
     if not np.isfinite(F).all():
         raise TraceError("evaluation", "family evaluation produced non-finite values")
     f_scale = float(np.max(np.abs(F)))
@@ -181,8 +175,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     cell = 2 * W / grid_n
 
     # --- node seeds: local minima of |grad|^2 plus ambiguous cells ---------
-    Gx = _grid_eval(funs[1], xs, ys, t)
-    Gy = _grid_eval(funs[2], xs, ys, t)
+    Gx = funs[1](xs, ys)
+    Gy = funs[2](xs, ys)
     g = Gx * Gx + Gy * Gy
     interior = g[1:-1, 1:-1]
     mins = np.ones_like(interior, dtype=bool)
@@ -198,9 +192,9 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     amb = hx[:, :-1] & hx[:, 1:] & vy[:-1, :] & vy[1:, :]
     seeds += [(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])) for i, j in np.argwhere(amb)]
 
-    node_pts = _refine_nodes(funs, seeds, t, W, f_scale)
+    node_pts = _refine_nodes(funs, seeds, W, f_scale)
     node_pts.sort(key=lambda p: (round(p[0] / (1e-9 * W)), round(p[1] / (1e-9 * W))))
-    infos = _node_certificates(funs, node_pts, t, W, f_scale)
+    infos = _node_certificates(funs, node_pts, W, f_scale)
 
     # cut radii: where the two crossing strands separate by a few cells;
     # shallow crossing angles need proportionally wider cuts to stay
@@ -249,7 +243,6 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
         adj.setdefault(k1, []).append(k2)
         adj.setdefault(k2, []).append(k1)
 
-    Fc = None
     active = np.argwhere(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
     for i, j in active:
         crossings = []
@@ -265,10 +258,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
             (k1, p1), (k2, p2) = crossings
             add_seg(k1, k2, p1, p2)
         elif len(crossings) == 4:
-            if Fc is None:
-                Fc = {}
             cx, cy = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
-            center_sign = 1 if float(f(cx, cy, t)) >= 0 else -1
+            center_sign = 1 if float(f(cx, cy)) >= 0 else -1
             # corners: A=(i,j) sign pattern alternates; pair around B and D
             # when the center joins A's region
             bottom, right, top, left = crossings
@@ -316,18 +307,6 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
         stub_ends[k] = ends
 
     # --- walk strands --------------------------------------------------------
-    def rim_param(p):
-        px, py = p
-        if abs(py + W) <= 1.5 * cell and abs(px) < W - 0.5 * cell:
-            return 0 + (px + W) / (2 * W)
-        if abs(px - W) <= 1.5 * cell:
-            return 1 + (py + W) / (2 * W)
-        if abs(py - W) <= 1.5 * cell:
-            return 2 + (W - px) / (2 * W)
-        if abs(px + W) <= 1.5 * cell:
-            return 3 + (W - py) / (2 * W)
-        return None
-
     def is_rim_key(key):
         kind, i, j = key
         if kind == "h":

@@ -155,12 +155,8 @@ def blowup_multiplicity_sequence(char_exponents):
     if exps == (1,):
         return [1]
     if exps not in _BLOWUP_MEMO:
-        _BLOWUP_MEMO[exps] = _blowup_once_retry(exps)
+        _BLOWUP_MEMO[exps] = _blowup_cached(exps)
     return list(_BLOWUP_MEMO[exps])
-
-
-def _blowup_once_retry(exps):
-    return _blowup_cached(exps)
 
 
 def blowup_delta(char_exponents):

@@ -18,7 +18,6 @@ from divides.alexander import (
     conj_pair_from_json,
     conj_pair_singularity,
     conj_pair_to_json,
-    cyclo_degree,
     derived_quantities,
     divisors,
     enumerate_conj_pair_types,
@@ -141,9 +140,9 @@ class TestCyclotomic:
         assert to_cyclotomic(FactorForm({6: 0})).exps == {}
 
     def test_degree(self):
-        assert cyclo_degree(CycloVector({1: 1})) == 1
-        assert cyclo_degree(CycloVector({1: 1, 4: 1})) == 3
-        assert cyclo_degree(CycloVector({})) == 0
+        assert CycloVector({1: 1}).degree() == 1
+        assert CycloVector({1: 1, 4: 1}).degree() == 3
+        assert CycloVector({}).degree() == 0
 
     def test_totient_and_divisors(self):
         assert totient(1) == 1 and totient(4) == 2 and totient(12) == 4

@@ -19,6 +19,7 @@ from divides.families import (
     radial_profile_levels,
 )
 from divides.singularity import expected_inner_regions, expected_node_count
+from divides.tracing import TraceError, trace_divide
 
 
 class TestChebyshevLike:
@@ -133,18 +134,18 @@ class TestOnePuiseuxPair:
         for rr in np.linspace(0.9 * t, 1.1 * t, 60):
             for th in np.linspace(0, 2 * math.pi, 600):
                 x, y = rr * math.cos(th), rr * math.sin(th)
-                g = fx(x, y, t) ** 2 + fy(x, y, t) ** 2
+                g = fx(x, y) ** 2 + fy(x, y) ** 2
                 if best is None or g < best[0]:
                     best = (g, x, y)
         _, x, y = best
         # Newton polish
         fxx, fxy, fyy = fam.evaluators(t)[3:]
         for _ in range(40):
-            gx, gy = fx(x, y, t), fy(x, y, t)
-            det = fxx(x, y, t) * fyy(x, y, t) - fxy(x, y, t) ** 2
-            x -= (-fyy(x, y, t) * gx + fxy(x, y, t) * gy) / -det
-            y -= (fxy(x, y, t) * gx - fxx(x, y, t) * gy) / -det
-        assert abs(f(x, y, t)) < 1e-12 * max(abs(f(t, t, t)), 1.0)
+            gx, gy = fx(x, y), fy(x, y)
+            det = fxx(x, y) * fyy(x, y) - fxy(x, y) ** 2
+            x -= (-fyy(x, y) * gx + fxy(x, y) * gy) / -det
+            y -= (fxy(x, y) * gx - fxx(x, y) * gy) / -det
+        assert abs(f(x, y)) < 1e-12 * max(abs(f(t, t)), 1.0)
 
 
 class TestSemiquasi:
@@ -217,3 +218,58 @@ class TestCustomExpression:
     def test_rejects_foreign_symbols(self):
         with pytest.raises(FamilyError):
             family_from_expression("y**2 - z", window=1.0)
+
+    def test_rejects_non_polynomial(self):
+        with pytest.raises(FamilyError):
+            family_from_expression("sin(x) + y**2 - t", window=1.0)
+
+    def test_zero_polynomial_fails_evaluation(self):
+        with pytest.raises(TraceError) as info:
+            trace_divide(family_from_expression("x - x", window=1.0))
+        assert info.value.reason == "evaluation"
+
+
+def _composition():
+    parts = [family_smooth_conjugate([{2: 1}], (0, 1)), family_one_puiseux_pair(2, 3, 1, (1, 1))]
+    return family_ellipse_composition(parts, [1.0, 1.6])
+
+
+EVALUATOR_FAMILIES = {
+    "smooth-conjugate": lambda: family_smooth_conjugate([{2: 1}, {2: complex(1, -1)}], (1, 2)),
+    "one-pair": lambda: family_one_puiseux_pair(3, 4, 1),
+    "semiquasi": lambda: family_semiquasi_pp([(1, 0)], [(1, 0, 2), (2, 1, 1)], [1, 1]),
+    "parabola-pair": lambda: family_parabola_pair(3),
+    "custom": lambda: family_from_expression("x**3*y - 2*y**2*t + x*t**2 - 7", window=1.0),
+    "composition": _composition,
+}
+
+
+class TestEvaluators:
+    """The compiled evaluators against exact sympy values of F and its
+    first and second partials."""
+
+    @pytest.mark.parametrize("name", sorted(EVALUATOR_FAMILIES))
+    def test_points_match_sympy(self, name):
+        fam = EVALUATOR_FAMILIES[name]()
+        t = fam.t_default
+        expr = fam.expr_at(t).subs(T, sympy.Rational(t))
+        fx, fy = sympy.diff(expr, X), sympy.diff(expr, Y)
+        exact = (expr, fx, fy, sympy.diff(fx, X), sympy.diff(fx, Y), sympy.diff(fy, Y))
+        W = fam.window(t)
+        for x, y in [(W / 3, -2 * W / 7), (-5 * W / 8, 3 * W / 11)]:
+            point = {X: sympy.Rational(x), Y: sympy.Rational(y)}
+            for fun, e in zip(fam.evaluators(t), exact):
+                assert fun(x, y) == pytest.approx(float(e.subs(point)), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["one-pair", "composition"])
+    def test_grid_matches_points(self, name):
+        fam = EVALUATOR_FAMILIES[name]()
+        t = fam.t_default
+        W = fam.window(t)
+        xs = np.linspace(-W, W, 9)
+        ys = np.linspace(-W, 0.5 * W, 7)
+        for fun in fam.evaluators(t):
+            grid = fun(xs, ys)
+            assert grid.shape == (9, 7)
+            for i, j in [(0, 0), (3, 5), (8, 6), (5, 2)]:
+                assert grid[i, j] == pytest.approx(fun(xs[i], ys[j]), rel=1e-12)
