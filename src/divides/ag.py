@@ -8,7 +8,9 @@ loops cannot occur.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .divide import Divide, DivideError, FaceColoring, two_coloring
 
@@ -31,30 +33,33 @@ class AGDiagram:
     edges: tuple[tuple[int, int], ...]  # unordered pairs (u < v), one entry per parallel edge
     n_branches: int
 
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        """Neighbours of each vertex in edge order, one entry per parallel edge."""
+        adj: dict[int, list[int]] = {v.vid: [] for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    @cached_property
+    def _edge_count(self) -> Counter[tuple[int, int]]:
+        return Counter(self.edges)
+
     def degree(self, vid: int) -> int:
-        return sum(1 for u, v in self.edges if vid in (u, v))
+        return len(self._adjacency[vid])
 
     def neighbors(self, vid: int) -> list[int]:
-        out = []
-        for u, v in self.edges:
-            if u == vid:
-                out.append(v)
-            elif v == vid:
-                out.append(u)
-        return out
+        return list(self._adjacency[vid])
 
     def vertex(self, vid: int) -> AGVertex:
         return self.vertices[vid]
 
     def multiplicity(self, u: int, v: int) -> int:
-        a, b = min(u, v), max(u, v)
-        return sum(1 for e in self.edges if e == (a, b))
+        return self._edge_count[min(u, v), max(u, v)]
 
     def multi_edges(self) -> list[tuple[int, int]]:
-        seen: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            seen[e] = seen.get(e, 0) + 1
-        return [e for e, k in sorted(seen.items()) if k > 1]
+        return [e for e, k in sorted(self._edge_count.items()) if k > 1]
 
 
 def build_diagram(d: Divide, col: FaceColoring | None = None) -> AGDiagram:
@@ -174,14 +179,9 @@ def detect_chains(g: AGDiagram) -> list[Chain]:
                         comp.add(y)
                         stack.append(y)
             visited |= comp
-            sub_edges = [e for e in g.edges if e[0] in comp and e[1] in comp]
-            has_multi = any(
-                g.multiplicity(u, v) > 1 for u, v in set(sub_edges)
-            )
-            inner_deg = {x: 0 for x in comp}
-            for u, v in sub_edges:
-                inner_deg[u] += 1
-                inner_deg[v] += 1
+            inner_nbrs = {x: [y for y in g.neighbors(x) if y in comp] for x in comp}
+            has_multi = any(g.multiplicity(x, y) > 1 for x in comp for y in inner_nbrs[x])
+            inner_deg = {x: len(nbrs) for x, nbrs in inner_nbrs.items()}
             ends = [x for x in comp if inner_deg[x] <= 1]
             if len(comp) == 1:
                 order = [start]
@@ -189,7 +189,7 @@ def detect_chains(g: AGDiagram) -> list[Chain]:
                 order = [min(ends)]
                 prev = None
                 while len(order) < len(comp):
-                    nxts = [y for y in g.neighbors(order[-1]) if y in comp and y != prev]
+                    nxts = [y for y in inner_nbrs[order[-1]] if y != prev]
                     if not nxts:
                         break
                     prev = order[-1]

@@ -67,8 +67,9 @@ class FamilySpec:
     def evaluators(self, t: float):
         """F, dF/dx, dF/dy and the second partials Fxx, Fxy, Fyy at t.
 
-        Each maps a point (x, y) to a float, and 1-D arrays xs, ys to the
-        grid of values at (xs[i], ys[j]).
+        Each evaluates at the points of np.broadcast(x, y): a float at a
+        scalar point, values at paired points for arrays of one shape, and
+        the grid of values at (xs[i], ys[j]) for f(xs[:, None], ys).
         """
         terms = dict(sympy.Poly(self.expr_at(t).subs(T, t), X, Y).terms())
         C = np.zeros(np.max(list(terms), axis=0) + 1)
@@ -85,7 +86,9 @@ def _power_sum(C: np.ndarray):
     ex, ey = np.arange(C.shape[0], dtype=float), np.arange(C.shape[1], dtype=float)
 
     def evaluate(x, y):
-        return np.power.outer(x, ex) @ C @ np.power.outer(y, ey).T
+        # [()] turns the 0-d result at a scalar point into a float
+        return np.einsum("...i,ij,...j->...", np.power.outer(x, ex), C, np.power.outer(y, ey),
+                         optimize=True)[()]
 
     return evaluate
 

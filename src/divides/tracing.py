@@ -2,9 +2,14 @@
 
 The pipeline: evaluate F_t on a square grid, extract the contour by edge
 sign interpolation, locate hyperbolic nodes as saddles of F on the zero
-level (Newton-refined), cut the contour open around each node and rewire
-it through the node with the rotation read from the cut-end angles, then
-assemble branches, boundary order, and the planar map.
+level, cut the contour open around each node and rewire it through the
+node with the rotation read from the cut-end angles, then assemble
+branches, boundary order, and the planar map.
+
+Nodes are found by Newton's method on grad F, run from all seeds at once
+as arrays (the evaluators take paired points as well as grids).  A saddle
+counts as a node only when |F|/scale <= LEVEL_TOL; its crossing angle
+comes from the Hessian in closed form.
 """
 from __future__ import annotations
 
@@ -58,92 +63,47 @@ class TracedDivide:
         return len(self.nodes)
 
 
-def _refine_nodes(funs, seeds, window, f_scale):
+def _nodes(funs, seeds, window, f_scale):
+    """Saddles of F on the zero level, Newton-refined on grad F from all
+    seeds at once, deduplicated in seed order."""
     f, fx, fy, fxx, fxy, fyy = funs
-    found = []
-    for x0, y0 in seeds:
-        x, yv = float(x0), float(y0)
-        ok = False
-        for _ in range(60):
-            gx, gy = float(fx(x, yv)), float(fy(x, yv))
-            hxx, hxy, hyy = float(fxx(x, yv)), float(fxy(x, yv)), float(fyy(x, yv))
-            det = hxx * hyy - hxy * hxy
-            if abs(det) < 1e-300:
-                break
-            dx = (-hyy * gx + hxy * gy) / det
-            dy = (hxy * gx - hxx * gy) / det
-            step = math.hypot(dx, dy)
-            if step > 0.25 * window:
-                scale = 0.25 * window / step
-                dx, dy = dx * scale, dy * scale
-            x, yv = x + dx, yv + dy
-            if not (abs(x) <= 2 * window and abs(yv) <= 2 * window):
-                break
-            if math.hypot(dx, dy) < 1e-16 * window + 1e-30:
-                ok = True
-                break
-        if not ok:
-            gx, gy = float(fx(x, yv)), float(fy(x, yv))
-            if math.hypot(gx, gy) * window / f_scale < 1e-11:
-                ok = True
-        if not ok:
-            continue
-        fv = float(f(x, yv))
-        gx, gy = float(fx(x, yv)), float(fy(x, yv))
-        hxx, hxy, hyy = float(fxx(x, yv)), float(fxy(x, yv)), float(fyy(x, yv))
-        if hxx * hyy - hxy * hxy >= 0:
-            continue  # extremum, not a saddle
-        if abs(fv) / f_scale > 1e-6:
-            continue  # saddle off the zero level
-        found.append((x, yv))
-    # dedupe
-    nodes = []
-    for x, yv in found:
-        if all(math.hypot(x - a, yv - b) > 1e-7 * window for a, b in nodes):
-            nodes.append((x, yv))
+    x, y = np.array(seeds, dtype=float)
+    live = np.ones(x.shape, dtype=bool)
+    converged = np.zeros(x.shape, dtype=bool)
+    for _ in range(60):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        xl, yl = x[idx], y[idx]
+        gx, gy = fx(xl, yl), fy(xl, yl)
+        hxx, hxy, hyy = fxx(xl, yl), fxy(xl, yl), fyy(xl, yl)
+        det = hxx * hyy - hxy * hxy
+        stuck = np.abs(det) < 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = np.where(stuck, 0.0, (-hyy * gx + hxy * gy) / det)
+            dy = np.where(stuck, 0.0, (hxy * gx - hxx * gy) / det)
+            step = np.hypot(dx, dy)
+            clip = np.where(step > 0.25 * window, 0.25 * window / step, 1.0)
+        dx, dy = dx * clip, dy * clip
+        x[idx], y[idx] = xl + dx, yl + dy
+        inside = (np.abs(x[idx]) <= 2 * window) & (np.abs(y[idx]) <= 2 * window)
+        converged[idx] = inside & ~stuck & (np.hypot(dx, dy) < 1e-16 * window + 1e-30)
+        live[idx] = inside & ~stuck & ~converged[idx]
+        x[idx[~inside]] = np.nan  # left the box: dropped
+    grad = np.hypot(fx(x, y), fy(x, y)) * window / f_scale
+    ok = converged | (grad < 1e-11)
+    x, y, grad = x[ok], y[ok], grad[ok]
+    level = np.abs(f(x, y)) / f_scale
+    a, b, c = fxx(x, y), fxy(x, y), fyy(x, y)
+    disc = b * b - a * c
+    # angle between the two null lines of the Hessian quadratic form, the
+    # crossing tangents
+    gap = np.arctan2(2 * np.sqrt(np.maximum(disc, 0.0)), np.abs(a + c))
+    nodes: list[NodeInfo] = []
+    for k in np.flatnonzero((disc > 0) & (level <= LEVEL_TOL)):
+        if all(math.hypot(x[k] - nd.x, y[k] - nd.y) > 1e-7 * window for nd in nodes):
+            nodes.append(NodeInfo(float(x[k]), float(y[k]), float(level[k]), float(grad[k]), float(gap[k])))
     return nodes
-
-
-def _node_certificates(funs, nodes, window, f_scale):
-    f, fx, fy, fxx, fxy, fyy = funs
-    infos = []
-    for x, yv in nodes:
-        fv = abs(float(f(x, yv))) / f_scale
-        gv = math.hypot(float(fx(x, yv)), float(fy(x, yv))) * window / f_scale
-        hxx, hxy, hyy = float(fxx(x, yv)), float(fxy(x, yv)), float(fyy(x, yv))
-        # null directions of the Hessian quadratic form give the two
-        # crossing tangents
-        angles = _null_angles(hxx, hxy, hyy)
-        gap = abs(angles[0] - angles[1])
-        gap = min(gap, math.pi - gap)
-        if fv > LEVEL_TOL or gv > LEVEL_TOL:
-            raise TraceError(
-                "refinement",
-                f"node at ({x:.6g},{yv:.6g}): residual {max(fv, gv):.2e} above {LEVEL_TOL}",
-            )
-        if gap < ANGLE_TOL:
-            raise TraceError("transversality", f"crossing tangents separated by only {gap:.2e} rad")
-        infos.append(NodeInfo(x, yv, fv, gv, gap))
-    return infos
-
-
-def _null_angles(a, b, c):
-    """Angles of the two lines a cos^2 + 2b cos sin + c sin^2 = 0."""
-    # treat as quadratic in tan(theta) when c != 0
-    if abs(c) > 1e-14 * max(abs(a), abs(b), 1e-300):
-        disc = b * b - a * c
-        disc = max(disc, 0.0)
-        r1 = (-b + math.sqrt(disc)) / c
-        r2 = (-b - math.sqrt(disc)) / c
-        return (math.atan(r1), math.atan(r2))
-    # c ~ 0: theta = pi/2 is one root: a + 2b tan... use cot form
-    if abs(a) > 1e-14 * max(abs(b), 1e-300):
-        # a cot^2 + 2b cot + c = 0 in cot(theta)
-        disc = max(b * b - a * c, 0.0)
-        r1 = (-b + math.sqrt(disc)) / a
-        r2 = (-b - math.sqrt(disc)) / a
-        return (math.pi / 2 - math.atan(r1), math.pi / 2 - math.atan(r2))
-    return (0.0, math.pi / 2)
 
 
 def trace_divide(family: FamilySpec, t: float | None = None, window: float | None = None,
@@ -165,7 +125,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     f = funs[0]
     xs = np.linspace(-W, W, grid_n + 1)
     ys = np.linspace(-W, W, grid_n + 1)
-    F = f(xs, ys)
+    F = f(xs[:, None], ys)
     if not np.isfinite(F).all():
         raise TraceError("evaluation", "family evaluation produced non-finite values")
     f_scale = float(np.max(np.abs(F)))
@@ -175,8 +135,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     cell = 2 * W / grid_n
 
     # --- node seeds: local minima of |grad|^2 plus ambiguous cells ---------
-    Gx = funs[1](xs, ys)
-    Gy = funs[2](xs, ys)
+    Gx = funs[1](xs[:, None], ys)
+    Gy = funs[2](xs[:, None], ys)
     g = Gx * Gx + Gy * Gy
     interior = g[1:-1, 1:-1]
     mins = np.ones_like(interior, dtype=bool)
@@ -185,16 +145,24 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
             if di == 0 and dj == 0:
                 continue
             mins &= interior <= g[1 + di : grid_n + di, 1 + dj : grid_n + dj]
-    seeds = [(xs[i + 1], ys[j + 1]) for i, j in np.argwhere(mins)]
 
     hx = S[:-1, :] != S[1:, :]  # horizontal edges
     vy = S[:, :-1] != S[:, 1:]  # vertical edges
     amb = hx[:, :-1] & hx[:, 1:] & vy[:-1, :] & vy[1:, :]
-    seeds += [(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])) for i, j in np.argwhere(amb)]
+    (mi, mj), (ai, aj) = np.nonzero(mins), np.nonzero(amb)
+    seeds = (np.concatenate([xs[mi + 1], 0.5 * (xs[ai] + xs[ai + 1])]),
+             np.concatenate([ys[mj + 1], 0.5 * (ys[aj] + ys[aj + 1])]))
 
-    node_pts = _refine_nodes(funs, seeds, W, f_scale)
-    node_pts.sort(key=lambda p: (round(p[0] / (1e-9 * W)), round(p[1] / (1e-9 * W))))
-    infos = _node_certificates(funs, node_pts, W, f_scale)
+    infos = _nodes(funs, seeds, W, f_scale)
+    infos.sort(key=lambda nd: (round(nd.x / (1e-9 * W)), round(nd.y / (1e-9 * W))))
+    for nd in infos:
+        if nd.residual_grad > LEVEL_TOL:
+            raise TraceError(
+                "refinement",
+                f"node at ({nd.x:.6g},{nd.y:.6g}): gradient residual {nd.residual_grad:.2e} above {LEVEL_TOL}",
+            )
+        if nd.tangent_gap < ANGLE_TOL:
+            raise TraceError("transversality", f"crossing tangents separated by only {nd.tangent_gap:.2e} rad")
 
     # cut radii: where the two crossing strands separate by a few cells;
     # shallow crossing angles need proportionally wider cuts to stay

@@ -1,7 +1,9 @@
 import pytest
 
 from divides.ag import (
+    AGDiagram,
     AGError,
+    AGVertex,
     build_diagram,
     classify_branch_diagram,
     detect_chains,
@@ -66,6 +68,19 @@ class TestBuild:
             for u, v in g.edges:
                 cu, cv = g.vertices[u].color, g.vertices[v].color
                 assert cu != cv or 0 in (cu, cv)
+
+
+class TestAdjacency:
+    def test_matches_edge_scan(self):
+        colors = [0, 1, 0, -1]
+        vertices = tuple(AGVertex(i, c, "region" if c else "crossing", i) for i, c in enumerate(colors))
+        edges = ((0, 1), (0, 1), (0, 3), (1, 2), (2, 3))
+        g = AGDiagram(vertices, edges, 1)
+        for v in range(4):
+            assert g.neighbors(v) == [b if a == v else a for a, b in edges if v in (a, b)]
+            assert g.degree(v) == len(g.neighbors(v))
+        assert (g.multiplicity(1, 0), g.multiplicity(2, 3), g.multiplicity(0, 2)) == (2, 1, 0)
+        assert g.multi_edges() == [(0, 1)]
 
 
 class TestPartition:

@@ -130,14 +130,11 @@ class TestOnePuiseuxPair:
         t = fam.t_default
         f, fx, fy = fam.evaluators(t)[:3]
         # the node near angle 0 on the ellipse: search a coarse ring
-        best = None
-        for rr in np.linspace(0.9 * t, 1.1 * t, 60):
-            for th in np.linspace(0, 2 * math.pi, 600):
-                x, y = rr * math.cos(th), rr * math.sin(th)
-                g = fx(x, y) ** 2 + fy(x, y) ** 2
-                if best is None or g < best[0]:
-                    best = (g, x, y)
-        _, x, y = best
+        rr, th = np.meshgrid(np.linspace(0.9 * t, 1.1 * t, 60), np.linspace(0, 2 * math.pi, 600),
+                             indexing="ij")
+        ring_x, ring_y = rr * np.cos(th), rr * np.sin(th)
+        best = np.argmin(fx(ring_x, ring_y) ** 2 + fy(ring_x, ring_y) ** 2)
+        x, y = float(ring_x.flat[best]), float(ring_y.flat[best])
         # Newton polish
         fxx, fxy, fyy = fam.evaluators(t)[3:]
         for _ in range(40):
@@ -269,7 +266,20 @@ class TestEvaluators:
         xs = np.linspace(-W, W, 9)
         ys = np.linspace(-W, 0.5 * W, 7)
         for fun in fam.evaluators(t):
-            grid = fun(xs, ys)
+            grid = fun(xs[:, None], ys)
             assert grid.shape == (9, 7)
             for i, j in [(0, 0), (3, 5), (8, 6), (5, 2)]:
                 assert grid[i, j] == pytest.approx(fun(xs[i], ys[j]), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["one-pair", "composition"])
+    def test_paired_points_match_points(self, name):
+        fam = EVALUATOR_FAMILIES[name]()
+        t = fam.t_default
+        W = fam.window(t)
+        rng = np.random.default_rng(0)
+        xs, ys = rng.uniform(-W, W, (2, 3, 4))
+        for fun in fam.evaluators(t):
+            values = fun(xs, ys)
+            assert values.shape == (3, 4)
+            expected = [fun(float(x), float(y)) for x, y in zip(xs.flat, ys.flat)]
+            assert values.ravel() == pytest.approx(expected, rel=1e-12)

@@ -2,6 +2,7 @@
 divide fixture against its census."""
 import itertools
 import json
+import math
 import os
 
 import pytest
@@ -10,13 +11,14 @@ from divides.ag import build_diagram
 from divides.divide import check_against_type, divide_from_json, divide_to_json, validate
 from divides.families import (
     family_ellipse_composition,
+    family_from_expression,
     family_one_puiseux_pair,
     family_parabola_pair,
     family_semiquasi_pp,
     family_smooth_conjugate,
 )
 from divides.singularity import BranchType, SingularityType, invariants_report
-from divides.tracing import TraceError, trace_with_retries
+from divides.tracing import TraceError, trace_divide, trace_with_retries
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -70,6 +72,42 @@ def test_traced_divide_passes_census(make, retries):
 def test_semiquasi_two_lines_two_conics():
     family = family_semiquasi_pp([(1, 0), (0, 1)], [(1, 0, 2), (2, 0, 1)], [1, 1])
     assert_certified(family, trace_with_retries(family, retries=0))
+
+
+def test_nodes_at_exact_crossings():
+    family = family_parabola_pair(3)
+    t = family.t_default
+    traced = trace_divide(family, grid_n=512)
+    W = traced.meta.window
+    assert [(nd.x, nd.y) for nd in traced.nodes] == [
+        (pytest.approx(k, abs=1e-12 * W), pytest.approx(t * k * k, abs=1e-12 * W)) for k in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "expr, node, gap",
+    [
+        ("(y - x + 0.1)*(y + 2*x - 0.05)", (0.05, -0.05), math.atan(3)),
+        # one tangent is vertical, so Fyy vanishes at the node
+        ("(x - 0.1)*(y - 0.3*x)", (0.1, 0.03), math.pi / 2 - math.atan(0.3)),
+    ],
+    ids=["slopes-1-and-minus-2", "vertical-tangent"],
+)
+def test_crossing_angle_of_two_lines(expr, node, gap):
+    traced = trace_divide(family_from_expression(expr, window=1.0), grid_n=512)
+    [nd] = traced.nodes
+    assert (nd.x, nd.y) == (pytest.approx(node[0], abs=1e-12), pytest.approx(node[1], abs=1e-12))
+    assert nd.tangent_gap == pytest.approx(gap, abs=1e-12)
+
+
+def test_saddle_off_the_zero_level_is_discarded():
+    """The saddle at (0.1, -0.05) has |F|/scale = 8.3e-8, so it is not a
+    node; the two disjoint arcs of the zero set become two branches that
+    never cross, which validation refuses."""
+    family = family_from_expression("(x - 0.1)**2 - (y + 0.05)**2 - 1e-7", window=1.0)
+    with pytest.raises(TraceError) as exc:
+        trace_divide(family, grid_n=512)
+    assert exc.value.reason == "validation"
 
 
 class TestTwoCuspsFixture:
