@@ -495,9 +495,7 @@ def family_semiquasi_pp(
 
 
 def _proportional(v1, v2) -> bool:
-    return abs(v1[0] * v2[1] - v1[1] * v2[0]) < 1e-12 and all(
-        abs(v1[i] * v2[j] - v1[j] * v2[i]) < 1e-12 for i in range(len(v1)) for j in range(len(v1))
-    )
+    return all(abs(v1[i] * v2[j] - v1[j] * v2[i]) < 1e-12 for i in range(len(v1)) for j in range(len(v1)))
 
 
 def _conic_pair_points(quads, levels, label="quadrics"):
@@ -629,15 +627,12 @@ def _merge_part_singularities(parts) -> SingularityType | None:
             for bcol in range(2 * s.im_br):
                 if a != bcol:
                     table[2 * base + a][2 * base + bcol] = s.intersections[a][bcol]
-    offsets = []
-    for base, s in blocks:
-        offsets.append((base, s.im_br, s))
     for bi in range(len(blocks)):
         for bj in range(bi + 1, len(blocks)):
-            base_i, ni, si = offsets[bi]
-            base_j, nj, sj = offsets[bj]
-            for a in range(ni):
-                for bcol in range(nj):
+            base_i, si = blocks[bi]
+            base_j, sj = blocks[bj]
+            for a in range(si.im_br):
+                for bcol in range(sj.im_br):
                     mt_prod = si.conj_pairs[a].multiplicity * sj.conj_pairs[bcol].multiplicity
                     for sa in (0, 1):
                         for sb in (0, 1):

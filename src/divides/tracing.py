@@ -10,6 +10,15 @@ Nodes are found by Newton's method on grad F, run from all seeds at once
 as arrays (the evaluators take paired points as well as grids).  A saddle
 counts as a node only when |F|/scale <= LEVEL_TOL; its crossing angle
 comes from the Hessian in closed form.
+
+Assembly is built on ports, the places where strands end: a node stub
+("node", k, s) with s in counterclockwise order, a rim endpoint
+("rim", key, 0), and the two ends ("marker", l, 0) and ("marker", l, 1) of
+a crossing-free loop, which is one more strand after all the others.  One
+table (vertex, slot) -> half-edge gives every rotation.  A branch goes
+straight through a vertex of valence n from slot s to slot s + n/2 (mod n)
+and ends at valence 1; open branches start from the rim in boundary order,
+closed ones from their least unused edge.
 """
 from __future__ import annotations
 
@@ -274,195 +283,103 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
         ends.sort(key=lambda key: math.atan2(points[key][1] - nd.y, points[key][0] - nd.x))
         stub_ends[k] = ends
 
-    # --- walk strands --------------------------------------------------------
-    def is_rim_key(key):
-        kind, i, j = key
-        if kind == "h":
-            return j == 0 or j == grid_n
-        return i == 0 or i == grid_n
+    # --- ports: where strands end -------------------------------------------
+    ports: dict[tuple, tuple] = {
+        key: ("node", k, s) for k, ends in stub_ends.items() for s, key in enumerate(ends)
+    }
+    for key, nbs in adj.items():
+        if len(nbs) == 1 and _rim_position(key, grid_n) is not None:
+            if key in ports:
+                raise TraceError("contour", "rim endpoint coincides with a node stub")
+            ports[key] = ("rim", key, 0)
 
-    specials: dict[tuple, tuple] = {}
-    for k, ends in stub_ends.items():
-        for stub_idx, key in enumerate(ends):
-            specials[key] = ("node", k, stub_idx)
-    rim_keys = [key for key in adj if is_rim_key(key) and len(adj[key]) == 1]
-    for key in rim_keys:
-        if key in specials:
-            raise TraceError("contour", "rim endpoint coincides with a node stub")
-        specials[key] = ("rim", key)
+    # --- one walk for strands, then for crossing-free loops -----------------
+    seen: set = set()
 
-    strands = []
-    visited_dir: set = set()
-    for key in sorted(specials, key=lambda kk: points[kk]):
-        for nb in adj[key]:
-            if (key, nb) in visited_dir:
-                continue
-            path_keys = [key, nb]
-            visited_dir.add((key, nb))
-            while path_keys[-1] not in specials:
-                cur = path_keys[-1]
-                prev = path_keys[-2]
-                nxts = [q for q in adj[cur] if q != prev]
-                if len(nxts) != 1:
-                    raise TraceError("contour", f"contour point of degree {len(adj[cur])} at {points[cur]}")
-                path_keys.append(nxts[0])
-                visited_dir.add((cur, nxts[0]))
-            visited_dir.add((path_keys[-1], path_keys[-2]))
-            strands.append((specials[path_keys[0]], specials[path_keys[-1]], path_keys))
-
-    # crossing-free closed loops
-    leftover = sorted(
-        (key for key in adj if key not in specials and not any((key, nb) in visited_dir for nb in adj[key])),
-        key=lambda kk: points[kk],
-    )
-    loops = []
-    for key in leftover:
-        if any((key, nb) in visited_dir for nb in adj[key]):
-            continue
-        if len(adj[key]) != 2:
-            raise TraceError("contour", f"stray contour point at {points[key]}")
-        path_keys = [key, adj[key][0]]
-        visited_dir.add((key, adj[key][0]))
-        visited_dir.add((adj[key][0], key))
-        while path_keys[-1] != key:
-            cur, prev = path_keys[-1], path_keys[-2]
+    def walk(start):
+        """Contour keys from start to the next port, or around to start."""
+        path = [start, adj[start][0]]
+        while path[-1] != start and path[-1] not in ports:
+            prev, cur = path[-2:]
             nxts = [q for q in adj[cur] if q != prev]
             if len(nxts) != 1:
-                raise TraceError("contour", "loop tracing failed")
-            path_keys.append(nxts[0])
-            visited_dir.add((cur, nxts[0]))
-            visited_dir.add((nxts[0], cur))
-        loops.append(path_keys)
+                raise TraceError("contour", f"contour point of degree {len(adj[cur])} at {points[cur]}")
+            path.append(nxts[0])
+        seen.update(path)
+        return path
 
-    return _assemble(family, infos, strands, loops, points, t, W, grid_n, _retries_used)
+    paths, strand_ends = [], []
+    for key in sorted(ports, key=points.get):
+        if adj[key] and key not in seen:
+            paths.append(walk(key))
+            strand_ends.append((ports[key], ports[paths[-1][-1]]))
+    # a loop is one more strand, between the two slots of its marker
+    n_strands = len(paths)
+    for key in sorted(adj, key=points.get):
+        if key not in seen and key not in ports:
+            loop = len(paths) - n_strands
+            paths.append(walk(key))
+            strand_ends.append((("marker", loop, 0), ("marker", loop, 1)))
+    edge_paths = {e: np.array([points[k] for k in p]) for e, p in enumerate(paths, start=1)}
+    return _assemble(family, infos, strand_ends, edge_paths, t, W, grid_n, _retries_used)
 
 
-def _assemble(family, infos, strands, loops, points, t, W, grid_n, retries_used):
-    # vertices: nodes 0..K-1, rim endpoints next, loop markers last
-    K = len(infos)
-    cell = 2 * W / grid_n
+def _rim_position(key, grid_n):
+    """(side, index) of a contour key on the window rim, increasing
+    counterclockwise from the corner (-W, -W); None off the rim."""
+    kind, i, j = key
+    along, across = (i, j) if kind == "h" else (j, i)
+    if across not in (0, grid_n):
+        return None
+    side = (2 if across else 0) if kind == "h" else (1 if across else 3)
+    return side, along if side < 2 else -along
 
-    def rim_sort_key(key):
-        px, py = points[key]
-        tol = W * 1e-9 + 2.1 * cell
-        cands = []
-        if abs(py + W) <= tol:
-            cands.append(0 + (px + W) / (2 * W))
-        if abs(px - W) <= tol:
-            cands.append(1 + (py + W) / (2 * W))
-        if abs(py - W) <= tol:
-            cands.append(2 + (W - px) / (2 * W))
-        if abs(px + W) <= tol:
-            cands.append(3 + (W - py) / (2 * W))
-        if not cands:
-            raise TraceError("contour", f"endpoint {points[key]} not on the window rim")
-        return min(cands)
 
-    rim_keys = sorted(
-        {keys[0] for start, end, keys in strands if start[0] == "rim"}
-        | {keys[-1] for start, end, keys in strands if end[0] == "rim"},
-        key=rim_sort_key,
-    )
-    rim_vertex = {key: K + idx for idx, key in enumerate(rim_keys)}
-    marker_base = K + len(rim_keys)
+VALENCE = {"node": 4, "rim": 1, "marker": 2}
 
-    # edges: strands first, crossing-free loops after
-    edge_paths: dict[int, np.ndarray] = {}
-    edge_tail: dict[int, tuple] = {}
-    edge_head: dict[int, tuple] = {}
-    for e_idx, (start, end, keys) in enumerate(strands, start=1):
-        edge_paths[e_idx] = np.array([points[k] for k in keys])
-        edge_tail[e_idx] = start
-        edge_head[e_idx] = end
-    loop_base = len(strands)
-    for l_idx, keys in enumerate(loops):
-        e = loop_base + 1 + l_idx
-        edge_paths[e] = np.array([points[k] for k in keys])
-        edge_tail[e] = ("marker", l_idx)
-        edge_head[e] = ("marker", l_idx)
 
-    # each node stub carries exactly one half-edge rooted at the node
-    stub_half: dict[tuple, int] = {}
-    for e_idx, (start, end, keys) in enumerate(strands, start=1):
-        if start[0] == "node":
-            if start in stub_half:
-                raise TraceError("assembly", f"two strands claim stub {start}")
-            stub_half[start] = e_idx
-        if end[0] == "node":
-            if end in stub_half:
-                raise TraceError("assembly", f"two strands claim stub {end}")
-            stub_half[end] = -e_idx
-
+def _assemble(family, infos, strand_ends, edge_paths, t, W, grid_n, retries_used):
+    # port table: (kind, id, slot) -> the half-edge leaving that vertex there
+    half_at: dict[tuple, int] = {}
+    for e, ends in enumerate(strand_ends, start=1):
+        for port, h in zip(ends, (e, -e)):
+            if port in half_at:
+                raise TraceError("assembly", f"two strands claim port {port}")
+            half_at[port] = h
+    # vertices: nodes 0..K-1, rim endpoints next in boundary order, markers last
+    rims = sorted({p[:2] for p in half_at if p[0] == "rim"}, key=lambda v: _rim_position(v[1], grid_n))
+    markers = sorted({p[:2] for p in half_at if p[0] == "marker"})
+    vertices = [("node", k) for k in range(len(infos))] + rims + markers
     rotations: dict[int, list[int]] = {}
-    for k in range(K):
-        rot = []
-        for stub_idx in range(4):
-            spec = ("node", k, stub_idx)
-            if spec not in stub_half:
-                raise TraceError("assembly", f"no strand attached to node {k} stub {stub_idx}")
-            rot.append(stub_half[spec])
-        rotations[k] = rot
-    for key, vid in rim_vertex.items():
-        half = None
-        for e_idx, (start, end, keys) in enumerate(strands, start=1):
-            if start == ("rim", key):
-                half = e_idx
-            elif end == ("rim", key):
-                half = -e_idx
-        if half is None:
-            raise TraceError("assembly", f"rim endpoint {key} detached")
-        rotations[vid] = [half]
-    for l_idx in range(len(loops)):
-        e = loop_base + 1 + l_idx
-        rotations[marker_base + l_idx] = [e, -e]
+    for vid, (kind, k) in enumerate(vertices):
+        try:
+            rotations[vid] = [half_at[(kind, k, s)] for s in range(VALENCE[kind])]
+        except KeyError as exc:
+            raise TraceError("assembly", f"no strand attached to port {exc.args[0]}") from None
 
-    def next_half(h):
-        """Continue a walk through the node at the head of half-edge h."""
-        arrive = edge_head[h] if h > 0 else edge_tail[-h]
-        if arrive[0] != "node":
-            return None
-        _, k, stub_idx = arrive
-        return stub_half[("node", k, (stub_idx + 2) % 4)]
+    def branch(h0):
+        """Walk straight through each vertex from h0 until the rim or back."""
+        walk = [h0]
+        while True:
+            h = walk[-1]
+            kind, k, s = strand_ends[h - 1][1] if h > 0 else strand_ends[-h - 1][0]
+            n = VALENCE[kind]
+            if n == 1:
+                return False, walk
+            nxt = half_at[(kind, k, (s + n // 2) % n)]
+            if nxt == h0:
+                return True, walk
+            walk.append(nxt)
 
+    # open branches from their first boundary endpoint, then closed ones
+    # from their least edge
     used: set[int] = set()
     branches = []
-    for e_idx, (start, end, keys) in enumerate(strands, start=1):
-        if e_idx in used or start[0] != "rim":
-            continue
-        walk, h = [], e_idx
-        while True:
-            walk.append(h)
-            used.add(abs(h))
-            h = next_half(h)
-            if h is None:
-                break
-        branches.append((False, walk))
-    for e_idx in range(1, len(strands) + 1):
-        if e_idx in used:
-            continue
-        walk, h = [], e_idx
-        while True:
-            walk.append(h)
-            used.add(abs(h))
-            h = next_half(h)
-            if h is None:
-                raise TraceError("assembly", "closed walk leaked to the rim")
-            if h == e_idx:
-                break
-        branches.append((True, walk))
-    for l_idx in range(len(loops)):
-        branches.append((True, [loop_base + 1 + l_idx]))
-
-    def branch_key(br):
-        closed, walk = br
-        if closed:
-            return (1, min(abs(h) for h in walk))
-        first = walk[0]
-        key = strands[first - 1][2][0] if first > 0 else strands[-first - 1][2][-1]
-        return (0, rim_vertex[key])
-
-    branches.sort(key=branch_key)
-    boundary = [rim_vertex[key] for key in rim_keys]
+    for h0 in [half_at[(*v, 0)] for v in rims] + list(range(1, len(strand_ends) + 1)):
+        if abs(h0) not in used:
+            branches.append(branch(h0))
+            used.update(abs(h) for h in branches[-1][1])
+    boundary = list(range(len(infos), len(infos) + len(rims)))
 
     outer_face = None
     if not boundary:

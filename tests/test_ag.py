@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from divides.ag import (
@@ -11,7 +14,9 @@ from divides.ag import (
     export_dot,
     is_partition,
 )
-from divides.divide import Divide, two_coloring
+from divides.divide import Divide, divide_from_json, two_coloring
+from divides.families import family_one_puiseux_pair
+from divides.tracing import trace_divide
 
 from fixtures import (
     circle_divide,
@@ -93,6 +98,18 @@ class TestPartition:
     def test_two_parabolas(self):
         # single inner region: nothing to violate
         assert is_partition(two_parabolas_divide())
+
+    def test_two_cusps_fixture(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "two_cusps_divide.json")
+        with open(path) as fh:
+            d = divide_from_json(json.load(fh))
+        assert len(d.inner_faces) == 7
+        assert not is_partition(d)
+
+    def test_traced_one_puiseux_pair(self):
+        d = trace_divide(family_one_puiseux_pair(3, 4, 1), grid_n=512).divide
+        assert len(d.inner_faces) == 15
+        assert is_partition(d)
 
 
 class TestChains:

@@ -37,10 +37,26 @@ def census_passes(d, s) -> bool:
     return False
 
 
+def assert_canonical_branch_order(d):
+    """Open branches first, each walked from its endpoint that comes first
+    in the boundary and in the boundary order of those endpoints; closed
+    branches walked from their least edge, in the order of those edges."""
+    closed = [br.closed for br in d.branches]
+    assert closed == sorted(closed)
+    at = {v: idx for idx, v in enumerate(d.boundary)}
+    ends = [(at[d.origin(br.walk[0])], at[d.head(br.walk[-1])]) for br in d.branches if not br.closed]
+    assert all(first < last for first, last in ends)
+    assert ends == sorted(ends)
+    starts = [br.walk[0] for br in d.branches if br.closed]
+    assert starts == [min(abs(h) for h in br.walk) for br in d.branches if br.closed]
+    assert starts == sorted(starts)
+
+
 def assert_certified(family, traced):
     d = traced.divide
     inv = invariants_report(family.singularity)
     assert validate(d) == []
+    assert_canonical_branch_order(d)
     assert census_passes(d, family.singularity)
     assert len(d.inner_faces) == inv["expected_inner_regions"]
     assert len(build_diagram(d).vertices) == inv["milnor"]
@@ -67,17 +83,31 @@ def test_traced_divide_passes_census(make, retries):
     assert_certified(family, trace_with_retries(family, retries=retries))
 
 
-@pytest.mark.xfail(raises=TraceError, strict=True,
-                   reason="a closed walk leaks to the rim at every grid size")
 def test_semiquasi_two_lines_two_conics():
     family = family_semiquasi_pp([(1, 0), (0, 1)], [(1, 0, 2), (2, 0, 1)], [1, 1])
-    assert_certified(family, trace_with_retries(family, retries=0))
+    traced = trace_with_retries(family, retries=0)
+    assert_certified(family, traced)
+    assert traced.crossing_count == family.expected_nodes == 13
+
+
+def test_branch_recorded_into_the_rim_at_both_ends():
+    """A strand is recorded from whichever end comes first in coordinate
+    order.  The parabola's rim ends lie to the right of its node, so both
+    its rim strands are recorded from the node into the rim; the parabola
+    must still be walked as an open branch."""
+    traced = trace_divide(family_from_expression("(x - y**2 + 0.5)*(y - 0.1)", window=1.0), grid_n=512)
+    d = traced.divide
+    assert validate(d) == []
+    assert_canonical_branch_order(d)
+    assert len(d.crossings) == 1
+    assert [br.closed for br in d.branches] == [False, False]
 
 
 def test_nodes_at_exact_crossings():
     family = family_parabola_pair(3)
     t = family.t_default
     traced = trace_divide(family, grid_n=512)
+    assert_canonical_branch_order(traced.divide)
     W = traced.meta.window
     assert [(nd.x, nd.y) for nd in traced.nodes] == [
         (pytest.approx(k, abs=1e-12 * W), pytest.approx(t * k * k, abs=1e-12 * W)) for k in (1, 2, 3)
@@ -95,6 +125,7 @@ def test_nodes_at_exact_crossings():
 )
 def test_crossing_angle_of_two_lines(expr, node, gap):
     traced = trace_divide(family_from_expression(expr, window=1.0), grid_n=512)
+    assert_canonical_branch_order(traced.divide)
     [nd] = traced.nodes
     assert (nd.x, nd.y) == (pytest.approx(node[0], abs=1e-12), pytest.approx(node[1], abs=1e-12))
     assert nd.tangent_gap == pytest.approx(gap, abs=1e-12)
