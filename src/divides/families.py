@@ -69,7 +69,10 @@ class FamilySpec:
 
         Each evaluates at the points of np.broadcast(x, y): a float at a
         scalar point, values at paired points for arrays of one shape, and
-        the grid of values at (xs[i], ys[j]) for f(xs[:, None], ys).
+        the grid of values at (xs[i], ys[j]) for f(xs[:, None], ys).  The
+        tables of powers x^i and y^j are running products along a new last
+        axis, contracted with the coefficient matrix by one fixed einsum path:
+        x table with the matrix first, then with the y table.
         """
         terms = dict(sympy.Poly(self.expr_at(t).subs(T, t), X, Y).terms())
         C = np.zeros(np.max(list(terms), axis=0) + 1)
@@ -82,13 +85,20 @@ class FamilySpec:
 
 def _power_sum(C: np.ndarray):
     """(x, y) -> sum of C[i, j] x^i y^j."""
-    # float exponents spare numpy a cast on every call; the powers are the same
-    ex, ey = np.arange(C.shape[0], dtype=float), np.arange(C.shape[1], dtype=float)
+
+    def powers(v, n):
+        # the running product 1, v, v*v, ... along a new last axis
+        table = np.empty(np.shape(v) + (n,))
+        table[..., 0] = 1
+        table[..., 1:] = np.expand_dims(v, -1)
+        return np.multiply.accumulate(table, axis=-1)
 
     def evaluate(x, y):
-        # [()] turns the 0-d result at a scalar point into a float
-        return np.einsum("...i,ij,...j->...", np.power.outer(x, ex), C, np.power.outer(y, ey),
-                         optimize=True)[()]
+        # the fixed path skips einsum's search on every call and still ends in
+        # a matrix product on a grid; [()] turns the 0-d result at a scalar
+        # point into a float
+        return np.einsum("...i,ij,...j->...", powers(x, C.shape[0]), C, powers(y, C.shape[1]),
+                         optimize=["einsum_path", (0, 1), (0, 1)])[()]
 
     return evaluate
 

@@ -7,9 +7,11 @@ node with the rotation read from the cut-end angles, then assemble
 branches, boundary order, and the planar map.
 
 Nodes are found by Newton's method on grad F, run from all seeds at once
-as arrays (the evaluators take paired points as well as grids).  A saddle
-counts as a node only when |F|/scale <= LEVEL_TOL; its crossing angle
-comes from the Hessian in closed form.
+as arrays (the evaluators take paired points as well as grids).  A seed
+stops when its step falls below 1e-8*W without shrinking to less than half
+the step before, i.e. at the rounding noise; 60 steps is the backstop.  A
+saddle counts as a node only when |F|/scale <= LEVEL_TOL; its crossing
+angle comes from the Hessian in closed form.
 
 Assembly is built on ports, the places where strands end: a node stub
 ("node", k, s) with s in counterclockwise order, a rim endpoint
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -74,11 +77,16 @@ class TracedDivide:
 
 def _nodes(funs, seeds, window, f_scale):
     """Saddles of F on the zero level, Newton-refined on grad F from all
-    seeds at once, deduplicated in seed order."""
+    seeds at once, deduplicated in seed order.
+
+    A seed stops once its step is below 1e-8*window and no smaller than half
+    its previous step: the step has reached the rounding noise and stopped
+    shrinking.  60 steps is the backstop.  A seed is kept when
+    |grad F|*window/f_scale < 1e-11 where it stopped."""
     f, fx, fy, fxx, fxy, fyy = funs
     x, y = np.array(seeds, dtype=float)
     live = np.ones(x.shape, dtype=bool)
-    converged = np.zeros(x.shape, dtype=bool)
+    last = np.full(x.shape, np.inf)
     for _ in range(60):
         idx = np.flatnonzero(live)
         if idx.size == 0:
@@ -91,16 +99,17 @@ def _nodes(funs, seeds, window, f_scale):
         with np.errstate(divide="ignore", invalid="ignore"):
             dx = np.where(stuck, 0.0, (-hyy * gx + hxy * gy) / det)
             dy = np.where(stuck, 0.0, (hxy * gx - hxx * gy) / det)
-            step = np.hypot(dx, dy)
-            clip = np.where(step > 0.25 * window, 0.25 * window / step, 1.0)
-        dx, dy = dx * clip, dy * clip
+        step = np.hypot(dx, dy)
+        clip = 0.25 * window / np.maximum(step, 0.25 * window)
+        dx, dy, step = dx * clip, dy * clip, step * clip
         x[idx], y[idx] = xl + dx, yl + dy
         inside = (np.abs(x[idx]) <= 2 * window) & (np.abs(y[idx]) <= 2 * window)
-        converged[idx] = inside & ~stuck & (np.hypot(dx, dy) < 1e-16 * window + 1e-30)
-        live[idx] = inside & ~stuck & ~converged[idx]
+        stalled = (step < 1e-8 * window) & (step >= 0.5 * last[idx])
+        last[idx] = step
+        live[idx] = inside & ~stuck & ~stalled
         x[idx[~inside]] = np.nan  # left the box: dropped
     grad = np.hypot(fx(x, y), fy(x, y)) * window / f_scale
-    ok = converged | (grad < 1e-11)
+    ok = grad < 1e-11
     x, y, grad = x[ok], y[ok], grad[ok]
     level = np.abs(f(x, y)) / f_scale
     a, b, c = fxx(x, y), fxy(x, y), fyy(x, y)
@@ -120,8 +129,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     """Single tracing attempt at fixed parameters.
 
     Raises TraceError when the numerics cannot certify the picture
-    (node refinement failure, node too close to the window rim or to
-    another node, cut-end count mismatch).  A wrong node count is
+    (a shallow crossing, a node too close to the window rim or to another
+    node, a cut-end count mismatch).  A wrong node count is
     reported in the result, not raised, so the retry wrapper can decide.
     """
     if grid_n < 64:
@@ -140,7 +149,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     f_scale = float(np.max(np.abs(F)))
     if f_scale == 0:
         raise TraceError("evaluation", "family vanishes identically on the grid")
-    S = np.where(F >= 0, 1, -1)
+    S = F >= 0
     cell = 2 * W / grid_n
 
     # --- node seeds: local minima of |grad|^2 plus ambiguous cells ---------
@@ -165,11 +174,6 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     infos = _nodes(funs, seeds, W, f_scale)
     infos.sort(key=lambda nd: (round(nd.x / (1e-9 * W)), round(nd.y / (1e-9 * W))))
     for nd in infos:
-        if nd.residual_grad > LEVEL_TOL:
-            raise TraceError(
-                "refinement",
-                f"node at ({nd.x:.6g},{nd.y:.6g}): gradient residual {nd.residual_grad:.2e} above {LEVEL_TOL}",
-            )
         if nd.tangent_gap < ANGLE_TOL:
             raise TraceError("transversality", f"crossing tangents separated by only {nd.tangent_gap:.2e} rad")
 
@@ -201,75 +205,60 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
                 )
 
     # --- contour extraction -------------------------------------------------
-    def h_point(i, j):
-        v1, v2 = F[i, j], F[i + 1, j]
-        s = v1 / (v1 - v2) if v1 != v2 else 0.5
-        return (xs[i] + s * cell, ys[j])
+    # one point on each edge whose ends differ in sign, linearly interpolated
+    hi, hj = np.nonzero(hx)
+    vi, vj = np.nonzero(vy)
+    v1 = F[hi, hj]
+    hp = xs[hi] + v1 / (v1 - F[hi + 1, hj]) * cell
+    v1 = F[vi, vj]
+    vp = ys[vj] + v1 / (v1 - F[vi, vj + 1]) * cell
+    crossing = dict(zip(zip(repeat("h"), hi.tolist(), hj.tolist()), zip(hp.tolist(), ys[hj].tolist())))
+    crossing.update(zip(zip(repeat("v"), vi.tolist(), vj.tolist()), zip(xs[vi].tolist(), vp.tolist())))
 
-    def v_point(i, j):
-        v1, v2 = F[i, j], F[i, j + 1]
-        s = v1 / (v1 - v2) if v1 != v2 else 0.5
-        return (xs[i], ys[j] + s * cell)
+    # cells with a crossing and their bottom, right, top and left edge flags;
+    # a cell with four takes the sign of F at its centre
+    ci, cj = np.nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
+    flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
+    four = flags.all(axis=1)
+    centre = f(0.5 * (xs[ci[four]] + xs[ci[four] + 1]), 0.5 * (ys[cj[four]] + ys[cj[four] + 1]))
+    # corners: A=(i,j) sign pattern alternates; pair around B and D when the
+    # centre joins A's region
+    joins_a = iter(((centre >= 0) == S[ci[four], cj[four]]).tolist())
 
-    points: dict[tuple, tuple[float, float]] = {}
     adj: dict[tuple, list] = {}
 
-    def add_seg(k1, k2, p1, p2):
-        points.setdefault(k1, p1)
-        points.setdefault(k2, p2)
+    def add_seg(k1, k2):
         adj.setdefault(k1, []).append(k2)
         adj.setdefault(k2, []).append(k1)
 
-    active = np.argwhere(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
-    for i, j in active:
-        crossings = []
-        if hx[i, j]:
-            crossings.append((("h", i, j), h_point(i, j)))
-        if vy[i + 1, j]:
-            crossings.append((("v", i + 1, j), v_point(i + 1, j)))
-        if hx[i, j + 1]:
-            crossings.append((("h", i, j + 1), h_point(i, j + 1)))
-        if vy[i, j]:
-            crossings.append((("v", i, j), v_point(i, j)))
-        if len(crossings) == 2:
-            (k1, p1), (k2, p2) = crossings
-            add_seg(k1, k2, p1, p2)
-        elif len(crossings) == 4:
-            cx, cy = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
-            center_sign = 1 if float(f(cx, cy)) >= 0 else -1
-            # corners: A=(i,j) sign pattern alternates; pair around B and D
-            # when the center joins A's region
-            bottom, right, top, left = crossings
-            if center_sign == S[i, j]:
-                add_seg(bottom[0], right[0], bottom[1], right[1])
-                add_seg(top[0], left[0], top[1], left[1])
+    # the signs change an even number of times around a cell: two or four
+    for i, j, on in zip(ci.tolist(), cj.tolist(), flags.tolist()):
+        edges = [k for k, o in zip((("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j)), on) if o]
+        if len(edges) == 2:
+            add_seg(*edges)
+        else:
+            bottom, right, top, left = edges
+            if next(joins_a):
+                add_seg(bottom, right)
+                add_seg(top, left)
             else:
-                add_seg(bottom[0], left[0], bottom[1], left[1])
-                add_seg(top[0], right[0], top[1], right[1])
-        elif len(crossings) != 0:
-            raise TraceError("contour", f"cell ({i},{j}) has {len(crossings)} edge crossings")
+                add_seg(bottom, left)
+                add_seg(top, right)
 
-    if not points:
+    if not adj:
         raise TraceError("contour", "no zero set found in the window")
+    points = {key: crossing[key] for key in adj}
 
     # --- cut the contour open around each node ------------------------------
-    removed: set = set()
+    keys = list(points)
+    xy = np.array(list(points.values()))
+    to_node = np.hypot(xy[:, :1] - [nd.x for nd in infos], xy[:, 1:] - [nd.y for nd in infos])
+    cut = np.flatnonzero((to_node < np.array(r_cuts)).any(axis=1))
+    removed = {keys[p] for p in cut.tolist()}
     stub_ends: dict[int, list] = {k: [] for k in range(len(infos))}
-    pts_arr = list(points.items())
-    for k, nd in enumerate(infos):
-        for key, (px, py) in pts_arr:
-            if math.hypot(px - nd.x, py - nd.y) < r_cuts[k]:
-                removed.add(key)
-    for key in removed:
-        for nb in adj.get(key, []):
-            if nb in removed:
-                continue
-            # nb survives and lost a neighbor: a stub end
-            nearest = min(
-                range(len(infos)),
-                key=lambda k: math.hypot(points[key][0] - infos[k].x, points[key][1] - infos[k].y),
-            )
-            stub_ends[nearest].append(nb)
+    # a surviving neighbour of a removed point is a stub end of the nearest node
+    for p, nearest in zip(cut.tolist(), to_node[cut].argmin(axis=1).tolist() if removed else ()):
+        stub_ends[nearest].extend(nb for nb in adj[keys[p]] if nb not in removed)
     adj = {k: [n for n in nbs if n not in removed] for k, nbs in adj.items() if k not in removed}
 
     for k, ends in stub_ends.items():

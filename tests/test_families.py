@@ -258,6 +258,23 @@ class TestEvaluators:
             for fun, e in zip(fam.evaluators(t), exact):
                 assert fun(x, y) == pytest.approx(float(e.subs(point)), rel=1e-12)
 
+    def test_degree_twelve_near_the_rim(self):
+        """Six conics multiplied out: the power tables run up to x^12 and y^12,
+        checked where |x| and |y| are about the window."""
+        conics = ["x**2 + y**2 - t", "x**2 - 2*y**2 + x*y - 1", "2*x**2 + y**2 - 3*x*y + x - 2",
+                  "x**2 + 3*y**2 + 2*x*y - y - 5", "x**2 - y**2 + t*x*y + 1/2", "3*x**2 + y**2 - 2*t*y"]
+        fam = family_from_expression("*".join(f"({c})" for c in conics), window=1.5)
+        t = fam.t_default
+        expr = fam.expr_at(t).subs(T, sympy.Rational(t))
+        assert sympy.Poly(expr, X, Y).degree(X) == sympy.Poly(expr, X, Y).degree(Y) == 12
+        fx, fy = sympy.diff(expr, X), sympy.diff(expr, Y)
+        exact = (expr, fx, fy, sympy.diff(fx, X), sympy.diff(fx, Y), sympy.diff(fy, Y))
+        W = fam.window(t)
+        for x, y in [(W, -0.9 * W), (-0.95 * W, W), (-W, -W)]:
+            point = {X: sympy.Rational(x), Y: sympy.Rational(y)}
+            for fun, e in zip(fam.evaluators(t), exact):
+                assert fun(x, y) == pytest.approx(float(e.subs(point)), rel=1e-12)
+
     @pytest.mark.parametrize("name", ["one-pair", "composition"])
     def test_grid_matches_points(self, name):
         fam = EVALUATOR_FAMILIES[name]()

@@ -5,11 +5,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from divides.ag import build_diagram
 from divides.divide import check_against_type, divide_from_json, divide_to_json, validate
 from divides.families import (
+    FamilySpec,
     family_ellipse_composition,
     family_from_expression,
     family_one_puiseux_pair,
@@ -112,6 +114,28 @@ def test_nodes_at_exact_crossings():
     assert [(nd.x, nd.y) for nd in traced.nodes] == [
         (pytest.approx(k, abs=1e-12 * W), pytest.approx(t * k * k, abs=1e-12 * W)) for k in (1, 2, 3)
     ]
+
+
+def test_newton_stops_at_the_noise_floor(monkeypatch):
+    """Seeds stop once their step stalls at the rounding noise, well before
+    the 60-step backstop; fxx is called once per Newton step and once more
+    at the refined points."""
+    calls = []
+    compile_evaluators = FamilySpec.evaluators
+
+    def counting(self, t):
+        f, fx, fy, fxx, fxy, fyy = compile_evaluators(self, t)
+
+        def counted_fxx(x, y):
+            calls.append(np.size(x))
+            return fxx(x, y)
+
+        return f, fx, fy, counted_fxx, fxy, fyy
+
+    monkeypatch.setattr(FamilySpec, "evaluators", counting)
+    traced = trace_divide(family_one_puiseux_pair(3, 4, 1), grid_n=512)
+    assert len(calls) - 1 <= 25
+    assert traced.crossing_count == 14
 
 
 @pytest.mark.parametrize(
