@@ -238,13 +238,6 @@ class FactorForm:
     def __repr__(self):
         return f"FactorForm({self.factors})"
 
-    def to_json(self) -> dict:
-        return {str(N): k for N, k in self.factors.items()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FactorForm":
-        return cls({int(N): int(k) for N, k in obj.items()})
-
 
 class CycloVector:
     """Exponent vector over cyclotomic indices: product of Phi_d^exps[d]."""
@@ -269,13 +262,6 @@ class CycloVector:
 
     def __repr__(self):
         return f"CycloVector({self.exps})"
-
-    def to_json(self) -> dict:
-        return {str(d): k for d, k in self.exps.items()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CycloVector":
-        return cls({int(d): int(k) for d, k in obj.items()})
 
 
 def to_cyclotomic(F: FactorForm) -> CycloVector:

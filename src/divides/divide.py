@@ -123,10 +123,6 @@ class Divide:
         return tuple(sorted(v for v, rot in self.rotations.items() if len(rot) == 1))
 
     @cached_property
-    def markers(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v, rot in self.rotations.items() if len(rot) == 2))
-
-    @cached_property
     def branch_of_edge(self) -> dict[int, int]:
         out = {}
         for bid, br in enumerate(self.branches):

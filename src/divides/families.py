@@ -2,8 +2,9 @@
 
 Each construction returns a FamilySpec: an exact symbolic polynomial
 F(x, y, t) whose zero set, for small t > 0, is the divide of a real
-morsification of the singularity the family deforms, together with the
-expected number of hyperbolic nodes and viewport metadata for the tracer.
+morsification of the singularity the family deforms, together with that
+singularity's topological type and viewport metadata for the tracer.  The
+expected number of hyperbolic nodes is derived from the type.
 
 Conjugate-tangent families are built in the real coordinates
 u = x + alpha*y, v = beta*y, in which the conjugate tangent pair is
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy
 
-from .singularity import BranchType, SingularityType
+from .singularity import BranchType, SingularityType, expected_node_count
 
 X, Y, T = sympy.symbols("x y t", real=True)
 _U, _V = sympy.symbols("u v", real=True)
@@ -31,33 +32,30 @@ class FamilyError(ValueError):
 
 
 @dataclass(frozen=True)
-class PartInfo:
-    """Metadata for one tangent-direction part of a composed family."""
-
-    tag: str
-    quad: tuple[float, float, float]  # coefficients of u^2+v^2 in x, y: A, B, C
-    gamma: float  # t -> t*sqrt(gamma) substitution parameter
-    multiplicity: int
-    expected_nodes: int
-    n_branches: int  # closed curves this part contributes
-
-
-@dataclass(frozen=True)
 class FamilySpec:
+    """A family and what the tracer needs to know about it.
+
+    Stored: the polynomial, a tag, the default parameter, the half-width of
+    the square viewport as a function of t, the singularity the family
+    deforms (None for a bare expression), the coefficients (A, B, C) of
+    u^2 + v^2 in x, y for each conjugate tangent pair of a family that a
+    composition may take as a part, and the per-t coefficient solver.
+    Derived from the singularity: the expected node count, delta - ImBr.
+    """
+
     expr: sympy.Expr
-    expected_nodes: int | None
-    multiplicity: int
     tag: str
     t_default: float
-    window_fn: Callable[[float], float]
+    window: Callable[[float], float]
     singularity: SingularityType | None = None
-    parts: tuple[PartInfo, ...] = ()
+    quads: tuple[tuple[float, float, float], ...] = ()
     # families whose coefficients depend on t (the radial-profile levels of
     # the one-Puiseux-pair construction) solve them here per parameter value
     param_solver: Callable[[float], dict] | None = None
 
-    def window(self, t: float) -> float:
-        return self.window_fn(t)
+    @property
+    def expected_nodes(self) -> int | None:
+        return None if self.singularity is None else expected_node_count(self.singularity)
 
     def expr_at(self, t: float) -> sympy.Expr:
         if self.param_solver is None:
@@ -210,7 +208,6 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
         F *= phi - T**2
     F = sympy.expand(F.subs(_tangent_subs(alpha, beta)))
 
-    expected = 2 * sum(nij + 1 for nij in n_pairwise.values())
     smooth = BranchType((1,))
     table = [[0] * (2 * s) for _ in range(2 * s)]
     for i in range(s):
@@ -241,13 +238,11 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
 
     return FamilySpec(
         expr=F,
-        expected_nodes=expected,
-        multiplicity=2 * s,
         tag="smooth-conjugate",
         t_default=t_def,
-        window_fn=window,
+        window=window,
         singularity=sing,
-        parts=(PartInfo("smooth-conjugate", _quad_coeffs(alpha, beta), 1.0, 2 * s, expected, s),),
+        quads=(_quad_coeffs(alpha, beta),),
     )
 
 
@@ -390,7 +385,6 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
         levels = radial_profile_levels(p, q, mod_a, t)
         return {sym: sympy.Float(lev) for sym, lev in zip(b_syms, levels)}
 
-    expected = (p - 1) * (p + q)
     branch = BranchType((p, q))
     inter = p * p
     sing = SingularityType((), (branch,), ((0, inter), (inter, 0)))
@@ -411,13 +405,11 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
 
     return FamilySpec(
         expr=F,
-        expected_nodes=expected,
-        multiplicity=2 * p,
         tag=f"one-pair-{p}-{q}",
         t_default=t_def,
-        window_fn=window,
+        window=window,
         singularity=sing,
-        parts=(PartInfo(f"one-pair-{p}-{q}", _quad_coeffs(alpha, beta), 1.0, 2 * p, expected, 1),),
+        quads=(_quad_coeffs(alpha, beta),),
         param_solver=solver,
     )
 
@@ -470,17 +462,10 @@ def family_semiquasi_pp(
     F = sympy.expand(F)
 
     d = ell + 2 * k
-    expected = d * (d - 1) // 2 - k
     smooth = BranchType((1,))
-    nslots = d
-    table = [[0] * nslots for _ in range(nslots)]
-    for i in range(nslots):
-        for j in range(nslots):
-            if i != j:
-                table[i][j] = 1
-    sing = SingularityType(
-        (smooth,) * ell, (smooth,) * k, tuple(tuple(r) for r in table)
-    )
+    # d smooth branches, pairwise transversal
+    table = tuple(tuple(int(i != j) for j in range(d)) for i in range(d))
+    sing = SingularityType((smooth,) * ell, (smooth,) * k, table)
 
     def window(t):
         ext = 1.0
@@ -489,18 +474,13 @@ def family_semiquasi_pp(
             ext = max(ext, math.sqrt(bi * t / lam_min))
         return 1.45 * ext
 
-    parts = tuple(
-        PartInfo("conic", qd, bi, 2, 0, 1) for qd, bi in zip(quads, bs)
-    )
     return FamilySpec(
         expr=F,
-        expected_nodes=expected,
-        multiplicity=d,
         tag="semiquasi-transversal",
         t_default=0.2,
-        window_fn=window,
+        window=window,
         singularity=sing,
-        parts=parts,
+        quads=tuple(quads),
     )
 
 
@@ -554,6 +534,7 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
     """Product of conjugate-tangent families on distinct tangent pairs,
     with the parameter rescaled to t*sqrt(gamma_i) in part i.
 
+    Each part has a single conjugate tangent pair and no real branches.
     Divides of distinct parts cross in mt_i * mt_j points near the
     intersections of their ellipses.
     """
@@ -564,17 +545,18 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
     gam = [float(g) for g in gammas]
     if any(g <= 0 for g in gam):
         raise FamilyError("gamma values must be positive")
-    infos = []
-    for spec in parts:
-        if len(spec.parts) != 1:
+    for i, spec in enumerate(parts):
+        if len(spec.quads) != 1:
             raise FamilyError("composition parts must be single-tangent families")
-        infos.append(spec.parts[0])
-    for i in range(len(infos)):
-        for j in range(i + 1, len(infos)):
-            if _proportional(infos[i].quad, infos[j].quad):
+        if spec.singularity.re_br:
+            raise FamilyError(f"part {i} has real branches")
+    quads = tuple(spec.quads[0] for spec in parts)
+    for i in range(len(quads)):
+        for j in range(i + 1, len(quads)):
+            if _proportional(quads[i], quads[j]):
                 raise FamilyError(f"parts {i} and {j} share their tangent pair")
     if len(parts) > 1:
-        _conic_pair_points([info.quad for info in infos], gam, label="part ellipses")
+        _conic_pair_points(quads, gam, label="part ellipses")
 
     F = sympy.Integer(1)
     for spec, g in zip(parts, gam):
@@ -591,71 +573,34 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
             subs.update(sv(t * fac))
         return subs
 
-    expected = 0
-    mt = 0
-    for i, spec in enumerate(parts):
-        expected += spec.expected_nodes
-        mt += spec.multiplicity
-        for j in range(i + 1, len(parts)):
-            expected += spec.multiplicity * parts[j].multiplicity
-
-    sing = _merge_part_singularities(parts)
-
     def window(t):
         return max(spec.window(t * math.sqrt(g)) for spec, g in zip(parts, gam))
 
-    new_infos = tuple(
-        PartInfo(info.tag, info.quad, g * info.gamma, info.multiplicity, info.expected_nodes, info.n_branches)
-        for info, g in zip(infos, gam)
-    )
     return FamilySpec(
         expr=F,
-        expected_nodes=expected,
-        multiplicity=mt,
         tag="ellipse-composition",
         t_default=min(spec.t_default for spec in parts) * 0.9,
-        window_fn=window,
-        singularity=sing,
-        parts=new_infos,
+        window=window,
+        singularity=_merge_part_singularities(parts),
+        quads=quads,
         param_solver=solver if part_solvers else None,
     )
 
 
-def _merge_part_singularities(parts) -> SingularityType | None:
-    pair_branches = []
-    blocks = []
-    for spec in parts:
-        s = spec.singularity
-        if s is None or s.re_br != 0:
-            return None
-        blocks.append((len(pair_branches), s))
-        pair_branches.extend(s.conj_pairs)
-    n = 2 * len(pair_branches)
-    table = [[0] * n for _ in range(n)]
-    for base, s in blocks:
-        for a in range(2 * s.im_br):
-            for bcol in range(2 * s.im_br):
-                if a != bcol:
-                    table[2 * base + a][2 * base + bcol] = s.intersections[a][bcol]
-    for bi in range(len(blocks)):
-        for bj in range(bi + 1, len(blocks)):
-            base_i, si = blocks[bi]
-            base_j, sj = blocks[bj]
-            for a in range(si.im_br):
-                for bcol in range(sj.im_br):
-                    mt_prod = si.conj_pairs[a].multiplicity * sj.conj_pairs[bcol].multiplicity
-                    for sa in (0, 1):
-                        for sb in (0, 1):
-                            r = 2 * (base_i + a) + sa
-                            cc = 2 * (base_j + bcol) + sb
-                            table[r][cc] = table[cc][r] = mt_prod
-    return SingularityType((), tuple(pair_branches), tuple(tuple(r) for r in table))
+def _merge_part_singularities(parts) -> SingularityType:
+    """The pairs of all parts in order.  Two slots of one part meet as in
+    that part; slots of different parts meet in the product of their
+    multiplicities."""
+    sings = [spec.singularity for spec in parts]
+    slots = [(p, k, s.slot_branch(k).multiplicity) for p, s in enumerate(sings) for k in range(s.slot_count)]
+    table = tuple(tuple(sings[p].intersections[k][l] if p == q else m * n for q, l, n in slots)
+                  for p, k, m in slots)
+    return SingularityType((), tuple(b for s in sings for b in s.conj_pairs), table)
 
 
-def family_from_expression(expr, window: float, expected_nodes: int | None = None,
-                           tag: str = "custom", singularity=None) -> FamilySpec:
+def family_from_expression(expr, window: float, singularity=None) -> FamilySpec:
     """Wrap an arbitrary real polynomial in x, y (and optionally t) for the
-    tracer.  No node count is asserted unless one is supplied."""
+    tracer.  No node count is asserted unless a singularity is supplied."""
     expr = sympy.sympify(expr, locals={"x": X, "y": Y, "t": T})
     extra = expr.free_symbols - {X, Y, T}
     if extra:
@@ -666,11 +611,9 @@ def family_from_expression(expr, window: float, expected_nodes: int | None = Non
         raise FamilyError(f"expression is not a polynomial in x, y: {exc}") from exc
     return FamilySpec(
         expr=sympy.expand(expr),
-        expected_nodes=expected_nodes,
-        multiplicity=0,
-        tag=tag,
+        tag="custom",
         t_default=0.1,
-        window_fn=lambda t: float(window),
+        window=lambda t: float(window),
         singularity=singularity,
     )
 
@@ -700,10 +643,8 @@ def family_parabola_pair(n: int) -> FamilySpec:
 
     return FamilySpec(
         expr=F,
-        expected_nodes=n,
-        multiplicity=2,
         tag=f"parabola-pair-{n}",
         t_default=0.3 if n <= 3 else 0.45,
-        window_fn=window,
+        window=window,
         singularity=sing,
     )

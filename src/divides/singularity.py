@@ -244,21 +244,17 @@ def singularity_from_json(obj: dict) -> SingularityType:
         given[pair] = int(val)
 
     table = [[0] * n for _ in range(n)]
-    # close under conjugation symmetry, rejecting conflicts
-    changed = True
+    # close under conjugation symmetry, rejecting conflicts; conjugation is
+    # an involution on slot pairs, so one pass over the given entries
+    # reaches the closure
     entries = dict(given)
-    while changed:
-        changed = False
-        for (i, j), v in list(entries.items()):
-            mi, mj = mirror(i), mirror(j)
-            mpair = (min(mi, mj), max(mi, mj))
-            if mpair not in entries:
-                entries[mpair] = v
-                changed = True
-            elif entries[mpair] != v:
-                raise InvalidSingularity(
-                    f"intersection {(i, j)}={v} conflicts with conjugate entry {mpair}={entries[mpair]}"
-                )
+    for (i, j), v in given.items():
+        mi, mj = mirror(i), mirror(j)
+        mpair = (min(mi, mj), max(mi, mj))
+        if entries.setdefault(mpair, v) != v:
+            raise InvalidSingularity(
+                f"intersection {(i, j)}={v} conflicts with conjugate entry {mpair}={entries[mpair]}"
+            )
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) not in entries:

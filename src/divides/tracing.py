@@ -57,9 +57,6 @@ class TraceMeta:
     t: float
     grid_n: int
     window: float
-    expected_nodes: int | None
-    tag: str
-    retries_used: int = 0
 
 
 @dataclass
@@ -125,7 +122,7 @@ def _nodes(funs, seeds, window, f_scale):
 
 
 def trace_divide(family: FamilySpec, t: float | None = None, window: float | None = None,
-                 grid_n: int = 512, _retries_used: int = 0) -> TracedDivide:
+                 grid_n: int = 512) -> TracedDivide:
     """Single tracing attempt at fixed parameters.
 
     Raises TraceError when the numerics cannot certify the picture
@@ -310,7 +307,10 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
             paths.append(walk(key))
             strand_ends.append((("marker", loop, 0), ("marker", loop, 1)))
     edge_paths = {e: np.array([points[k] for k in p]) for e, p in enumerate(paths, start=1)}
-    return _assemble(family, infos, strand_ends, edge_paths, t, W, grid_n, _retries_used)
+    divide = _assemble(infos, strand_ends, edge_paths, grid_n)
+    expected = family.expected_nodes
+    return TracedDivide(divide, infos, edge_paths, TraceMeta(t, grid_n, W),
+                        expected is None or len(infos) == expected)
 
 
 def _rim_position(key, grid_n):
@@ -327,7 +327,7 @@ def _rim_position(key, grid_n):
 VALENCE = {"node": 4, "rim": 1, "marker": 2}
 
 
-def _assemble(family, infos, strand_ends, edge_paths, t, W, grid_n, retries_used):
+def _assemble(infos, strand_ends, edge_paths, grid_n) -> Divide:
     # port table: (kind, id, slot) -> the half-edge leaving that vertex there
     half_at: dict[tuple, int] = {}
     for e, ends in enumerate(strand_ends, start=1):
@@ -391,11 +391,7 @@ def _assemble(family, infos, strand_ends, edge_paths, t, W, grid_n, retries_used
     problems = validate(divide)
     if problems:
         raise TraceError("validation", f"traced divide invalid: {problems[0].detail}")
-
-    expected = family.expected_nodes
-    meta = TraceMeta(t, grid_n, W, expected, family.tag, retries_used)
-    ok = expected is None or len(infos) == expected
-    return TracedDivide(divide, list(infos), edge_paths, meta, ok)
+    return divide
 
 
 def trace_with_retries(family: FamilySpec, t: float | None = None, grid_n: int = 512,
@@ -403,9 +399,9 @@ def trace_with_retries(family: FamilySpec, t: float | None = None, grid_n: int =
     """Monotone retry protocol: halve t and double the grid on failure."""
     t = family.t_default if t is None else float(t)
     last_exc: Exception | None = None
-    for attempt in range(retries + 1):
+    for _ in range(retries + 1):
         try:
-            traced = trace_divide(family, t=t, window=window, grid_n=grid_n, _retries_used=attempt)
+            traced = trace_divide(family, t=t, window=window, grid_n=grid_n)
         except TraceError as exc:
             last_exc = exc
         else:

@@ -18,7 +18,7 @@ from divides.families import (
     family_smooth_conjugate,
     radial_profile_levels,
 )
-from divides.singularity import expected_inner_regions, expected_node_count
+from divides.singularity import expected_inner_regions, expected_node_count, total_multiplicity
 from divides.tracing import TraceError, trace_divide
 
 
@@ -61,7 +61,7 @@ class TestSmoothConjugate:
     def test_single_pair(self):
         fam = family_smooth_conjugate([{2: 1}])
         assert fam.expected_nodes == 0
-        assert fam.multiplicity == 2
+        assert total_multiplicity(fam.singularity) == 2
 
     def test_two_pairs_contact_two(self):
         fam = family_smooth_conjugate([{2: 1}, {2: -1}])
@@ -179,14 +179,25 @@ class TestEllipseComposition:
     def test_two_parts(self):
         fam = family_ellipse_composition([self.part((0, 1)), self.part((1, 1))], [1.0, 1.3])
         assert fam.expected_nodes == 4
-        assert fam.multiplicity == 4
+        assert total_multiplicity(fam.singularity) == 4
         assert expected_node_count(fam.singularity) == 4
 
     def test_single_part_identity(self):
         part = self.part((0, 1))
         fam = family_ellipse_composition([part], [1.0])
         assert fam.expected_nodes == part.expected_nodes
-        assert fam.multiplicity == part.multiplicity
+        assert fam.singularity == part.singularity
+
+    def test_smooth_with_one_pair(self):
+        fam = _composition()
+        assert fam.expected_nodes == 13
+        assert total_multiplicity(fam.singularity) == 6
+        assert fam.singularity.intersections == ((0, 1, 2, 2), (1, 0, 2, 2), (2, 2, 0, 4), (2, 2, 4, 0))
+
+    def test_part_with_real_branches_rejected(self):
+        with_line = family_semiquasi_pp([(1, 0)], [(1, 0, 1)], [1])
+        with pytest.raises(FamilyError, match="real branches"):
+            family_ellipse_composition([with_line, self.part((1, 1))], [1.0, 1.6])
 
     def test_equal_tangents_rejected(self):
         with pytest.raises(FamilyError):

@@ -155,6 +155,28 @@ def test_crossing_angle_of_two_lines(expr, node, gap):
     assert nd.tangent_gap == pytest.approx(gap, abs=1e-12)
 
 
+def _crossing_lines(intersection):
+    """Two real lines crossing once, stated as two smooth real branches that
+    meet with the given intersection multiplicity."""
+    smooth = BranchType((1,))
+    sing = SingularityType((smooth, smooth), (), ((0, intersection), (intersection, 0)))
+    return family_from_expression("(x - 0.1)*(y + 0.05)", window=1.0, singularity=sing)
+
+
+@pytest.mark.parametrize("intersection, ok", [(1, True), (2, False)])
+def test_node_count_checked_against_the_singularity(intersection, ok):
+    traced = trace_divide(_crossing_lines(intersection), grid_n=512)
+    assert traced.crossing_count == 1
+    assert traced.node_count_ok is ok
+
+
+def test_wrong_node_count_exhausts_the_retries():
+    with pytest.raises(TraceError) as exc:
+        trace_with_retries(_crossing_lines(2), retries=1)
+    assert exc.value.reason == "retries-exhausted"
+    assert "found 1 nodes, expected 2" in str(exc.value)
+
+
 def test_saddle_off_the_zero_level_is_discarded():
     """The saddle at (0.1, -0.05) has |F|/scale = 8.3e-8, so it is not a
     node; the two disjoint arcs of the zero set become two branches that
