@@ -6,7 +6,8 @@ j <= i and differ by the sign of the purely imaginary tail.  The reduced
 Alexander polynomial of the pair is a product of cyclotomic polynomials;
 this module implements the closed-form factored encoding, the conversion
 to an exact cyclotomic exponent vector, the peel decomposition, and the
-decoding back to the pair type, verified by re-encoding.
+decoding back to the pair type: a read-off of the peel sequence (the
+encoding is injective), verified by re-encoding.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ class NotInImage(ValueError):
 
 
 class AmbiguousDecode(ValueError):
-    """Two distinct valid types encode to the same vector."""
+    """Two distinct valid types encode to the same vector; alexander_decode
+    never raises it, because the encoding is injective."""
 
 
 class ExpansionError(ValueError):
@@ -104,7 +106,7 @@ class ConjPairType:
         # acquire extra contact outside the factored-polynomial normal form
         if n[i] % 2 == 0:
             raise InvalidConjPair("n_{i+1} must be odd for a genuine conjugate pair")
-        if pair_intersection(self, _validate=False) is None:
+        if pair_intersection(self) is None:
             raise InvalidConjPair("expansions coincide; not a conjugate pair")
 
     @property
@@ -164,13 +166,13 @@ def _tau_exponents(T: ConjPairType) -> list[int]:
     return [T.m[j] * prod(T.n[j + 1 :]) for j in range(T.s)]
 
 
-def pair_intersection(T: ConjPairType, _validate: bool = True) -> int | None:
+def pair_intersection(T: ConjPairType) -> int | None:
     """Intersection multiplicity of the two conjugate branches.
 
     Sums, over the n-th roots of unity zeta, the valuation of the
     difference of the two expansions composed with tau -> zeta*tau.
-    Returns None (or raises) if some zeta makes the difference vanish,
-    i.e. the expansions parametrize a single branch.
+    Returns None if some zeta makes the difference vanish, i.e. the
+    expansions parametrize a single branch, which ConjPairType rejects.
     """
     n = prod(T.n)
     B = _tau_exponents(T)
@@ -186,8 +188,6 @@ def pair_intersection(T: ConjPairType, _validate: bool = True) -> int | None:
                 v = Bk
                 break
         if v is None:
-            if _validate:
-                raise InvalidConjPair("expansions coincide; not a conjugate pair")
             return None
         total += v
     return total
@@ -394,10 +394,12 @@ def peel_sequence(v: CycloVector) -> PeelResult:
 def _parse_peel(entries) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | None:
     """Structural read-off of (s, i, m, n) from a peel sequence.
 
-    Handles the merged-index cases (n_{i+1} = 1 collapsing the square
-    factor, and the full collapse for i=0, n_1 = m_1 = 1).  Returns None
-    whenever the sequence does not match; the caller then falls back to
-    exhaustive search.
+    The factor indices of alexander_encode(T) are strictly ordered except
+    for two merges, both handled here: n_{i+1} = 1 collapsing the square
+    factor, and the full collapse for i=0, n_1 = m_1 = 1.  So the peel
+    sequence of an encoded vector is its reduced factor form, and this
+    read-off inverts the encoder.  Returns None whenever the sequence does
+    not match that form.
     """
     entries = list(entries)
     top: list[tuple[int, int]] = []  # (n_j, e_j), j = s down to i+2
@@ -506,79 +508,13 @@ def _parse_peel(entries) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | 
     return s, i, tuple(m), tuple(n_list)
 
 
-def _search_preimages(v: CycloVector, s_cap: int) -> list[ConjPairType]:
-    """Complete bounded search for valid types encoding to v."""
-    deg = v.degree()
-    D = max(v.exps)
-    n_bound = D // 2
-    found: list[ConjPairType] = []
-
-    def try_type(s, i, m, n):
-        try:
-            T = ConjPairType(s, i, tuple(m), tuple(n))
-        except InvalidConjPair:
-            return
-        if to_cyclotomic(alexander_encode(T)) == v:
-            found.append(T)
-
-    def rec_m(s, i, n, m, j):
-        if j == s:
-            try_type(s, i, m, n)
-            return
-        lo = n[0] if j == 0 else m[j - 1] * n[j] + 1
-        mj = lo
-        while True:
-            if gcd(mj, n[j]) == 1:
-                cand = m + [mj]
-                # degree grows monotonically in each m_j; prune via a
-                # completed candidate using minimal continuations
-                tail = cand[:]
-                for jj in range(j + 1, s):
-                    nxt = tail[-1] * n[jj] + 1
-                    while gcd(nxt, n[jj]) != 1:
-                        nxt += 1
-                    tail.append(nxt)
-                try:
-                    Tmin = ConjPairType(s, i, tuple(tail), tuple(n))
-                    dmin = to_cyclotomic(alexander_encode(Tmin)).degree()
-                except InvalidConjPair:
-                    dmin = None
-                if dmin is not None and dmin > deg:
-                    return
-                if j == s - 1:
-                    if dmin == deg:
-                        try_type(s, i, cand, n)
-                else:
-                    rec_m(s, i, n, cand, j + 1)
-            mj += 1
-            if mj > lo + 4 * deg + 8:  # hard stop; degree pruning fires first
-                return
-
-    def rec_n(s, i, n, j):
-        if prod(n) > n_bound:
-            return
-        if j == s:
-            rec_m(s, i, n, [], 0)
-            return
-        lo = 1 if j == i else 2
-        for nj in range(lo, n_bound + 1):
-            if prod(n) * nj > n_bound:
-                break
-            rec_n(s, i, n + [nj], j + 1)
-
-    for s in range(1, s_cap + 1):
-        for i in range(s):
-            rec_n(s, i, [], 0)
-    return found
-
-
 def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
-    """Invert the encoding; every result is verified by re-encoding.
+    """Invert the encoding by reading the type off the peel sequence.
 
-    Degree-1 vectors decode to NodeType.  The structural read-off of the
-    peel sequence is tried first; when index merges defeat it, a complete
-    bounded search over valid types takes over.  Returns NotInImage when
-    no valid type reproduces v, AmbiguousDecode when several do.
+    Degree-1 vectors decode to NodeType.  The read-off recovers every
+    encoded type (see _parse_peel), so the encoding is injective and the
+    read-off is the whole decoder.  The result is verified by re-encoding;
+    NotInImage is raised when the read-off fails or does not reproduce v.
     """
     if not v.exps:
         raise NotInImage("empty vector")
@@ -591,23 +527,16 @@ def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
         raise NotInImage("degree-1 vector is not (t - 1)")
     if deg % 2 == 0:
         raise NotInImage("degree must be odd (2*delta - 1)")
-    peel = peel_sequence(v)
-    parsed = _parse_peel(peel.entries)
-    if parsed is not None:
-        s, i, m, n = parsed
-        try:
-            T = ConjPairType(s, i, m, n)
-        except InvalidConjPair:
-            T = None
-        if T is not None and to_cyclotomic(alexander_encode(T)) == v:
-            return T
-    s_cap = (peel.r + 3) // 2
-    found = _search_preimages(v, s_cap)
-    if not found:
-        raise NotInImage("no conjugate-pair type encodes to this vector")
-    if len(found) > 1:
-        raise AmbiguousDecode(f"multiple preimages: {found}")
-    return found[0]
+    parsed = _parse_peel(peel_sequence(v).entries)
+    if parsed is None:
+        raise NotInImage("peel sequence is not the factor form of a conjugate pair")
+    try:
+        T = ConjPairType(*parsed)
+    except InvalidConjPair as exc:
+        raise NotInImage(f"read-off parameters are not a valid type: {exc}") from exc
+    if to_cyclotomic(alexander_encode(T)) != v:
+        raise NotInImage("read-off type does not re-encode to this vector")
+    return T
 
 
 def enumerate_conj_pair_types(s_max: int, n_max: int, m_max: int):

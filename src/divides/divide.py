@@ -353,8 +353,9 @@ def validate(d: Divide) -> list[Violation]:
                     )
                 )
 
-    # every pair of branches must intersect
-    if len(d.branches) > 1:
+    # every pair of branches must intersect; countable once every crossing
+    # has its two passages
+    if len(d.branches) > 1 and all(len(d.passages.get(v, [])) == 2 for v in d.crossings):
         M = crossing_matrix(d)
         for i in range(len(d.branches)):
             for j in range(i + 1, len(d.branches)):

@@ -423,6 +423,9 @@ def family_semiquasi_pp(
     Each quadric q_i contributes the conic q_i = b_i t; every pair of
     conics must meet in four distinct real points.  Line factors are
     shifted off the origin proportionally to t to realize their nodes.
+    These conics are not ellipses u^2 + v^2 = t^2 that an ellipse
+    composition could rescale, so the family states no quads and is never
+    a composition part.
     """
     lines = [tuple(map(float, ln)) for ln in real_lines]
     quads = [tuple(map(float, qd)) for qd in quadrics]
@@ -480,7 +483,6 @@ def family_semiquasi_pp(
         t_default=0.2,
         window=window,
         singularity=sing,
-        quads=tuple(quads),
     )
 
 
@@ -547,9 +549,7 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
         raise FamilyError("gamma values must be positive")
     for i, spec in enumerate(parts):
         if len(spec.quads) != 1:
-            raise FamilyError("composition parts must be single-tangent families")
-        if spec.singularity.re_br:
-            raise FamilyError(f"part {i} has real branches")
+            raise FamilyError(f"part {i} is not one conjugate tangent pair without real branches")
     quads = tuple(spec.quads[0] for spec in parts)
     for i in range(len(quads)):
         for j in range(i + 1, len(quads)):

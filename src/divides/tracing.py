@@ -179,12 +179,11 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     # visible to the grid
     r_cuts = []
     for nd in infos:
-        gap = max(nd.tangent_gap, 1e-3)
-        r = cell * max(3.0, 1.7 / math.sin(gap / 2))
+        r = cell * max(3.0, 1.7 / math.sin(nd.tangent_gap / 2))
         if r > 0.22 * W:
             raise TraceError(
                 "resolution",
-                f"crossing angle {gap:.3g} rad needs a cut radius beyond the window; refine the grid",
+                f"crossing angle {nd.tangent_gap:.3g} rad needs a cut radius beyond the window; refine the grid",
             )
         r_cuts.append(r)
 
@@ -275,8 +274,6 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     }
     for key, nbs in adj.items():
         if len(nbs) == 1 and _rim_position(key, grid_n) is not None:
-            if key in ports:
-                raise TraceError("contour", "rim endpoint coincides with a node stub")
             ports[key] = ("rim", key, 0)
 
     # --- one walk for strands, then for crossing-free loops -----------------

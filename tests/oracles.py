@@ -2,13 +2,16 @@
 
 These deliberately recompute quantities by different routes than the
 library: a literal blow-up of exact Puiseux parametrizations for the
-multiplicity sequence and delta, the conductor formula for delta, and
-sympy rational-function arithmetic for Alexander polynomials.
+multiplicity sequence and delta, the conductor formula for delta,
+sympy rational-function arithmetic for Alexander polynomials, and a
+complete bounded search over conjugate-pair types for the decoder.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, prod
+
+from divides.alexander import ConjPairType, CycloVector, InvalidConjPair, alexander_encode, to_cyclotomic
 
 
 class NeedMoreTerms(Exception):
@@ -202,3 +205,69 @@ def small_branch_grid(max_b0=6, max_exp=25, max_len=3):
     for b0 in range(2, max_b0 + 1):
         extend((b0,), b0)
     return out
+
+
+def search_preimages(v: CycloVector, s_cap: int) -> list[ConjPairType]:
+    """Complete bounded search for valid types encoding to v."""
+    deg = v.degree()
+    D = max(v.exps)
+    n_bound = D // 2
+    found: list[ConjPairType] = []
+
+    def try_type(s, i, m, n):
+        try:
+            T = ConjPairType(s, i, tuple(m), tuple(n))
+        except InvalidConjPair:
+            return
+        if to_cyclotomic(alexander_encode(T)) == v:
+            found.append(T)
+
+    def rec_m(s, i, n, m, j):
+        if j == s:
+            try_type(s, i, m, n)
+            return
+        lo = n[0] if j == 0 else m[j - 1] * n[j] + 1
+        mj = lo
+        while True:
+            if gcd(mj, n[j]) == 1:
+                cand = m + [mj]
+                # degree grows monotonically in each m_j; prune via a
+                # completed candidate using minimal continuations
+                tail = cand[:]
+                for jj in range(j + 1, s):
+                    nxt = tail[-1] * n[jj] + 1
+                    while gcd(nxt, n[jj]) != 1:
+                        nxt += 1
+                    tail.append(nxt)
+                try:
+                    Tmin = ConjPairType(s, i, tuple(tail), tuple(n))
+                    dmin = to_cyclotomic(alexander_encode(Tmin)).degree()
+                except InvalidConjPair:
+                    dmin = None
+                if dmin is not None and dmin > deg:
+                    return
+                if j == s - 1:
+                    if dmin == deg:
+                        try_type(s, i, cand, n)
+                else:
+                    rec_m(s, i, n, cand, j + 1)
+            mj += 1
+            if mj > lo + 4 * deg + 8:  # hard stop; degree pruning fires first
+                return
+
+    def rec_n(s, i, n, j):
+        if prod(n) > n_bound:
+            return
+        if j == s:
+            rec_m(s, i, n, [], 0)
+            return
+        lo = 1 if j == i else 2
+        for nj in range(lo, n_bound + 1):
+            if prod(n) * nj > n_bound:
+                break
+            rec_n(s, i, n + [nj], j + 1)
+
+    for s in range(1, s_cap + 1):
+        for i in range(s):
+            rec_n(s, i, [], 0)
+    return found

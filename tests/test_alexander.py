@@ -30,7 +30,7 @@ from divides.alexander import (
 )
 from divides.singularity import BranchType, branch_delta, milnor_number
 
-from oracles import delta_conductor
+from oracles import delta_conductor, search_preimages
 
 
 NODE = ConjPairType(1, 0, (1,), (1,))
@@ -245,7 +245,7 @@ class TestDecode:
 
     def test_roundtrip_merged_cases(self):
         # the collapsed-spike family defeats the raw r/l read-off; the
-        # structural parser or search must still recover it
+        # structural parser must still recover it
         for T in [CONJ_CUSP, ConjPairType(2, 0, (1, 5), (1, 3)), ConjPairType(3, 0, (1, 3, 7), (1, 2, 2))]:
             assert alexander_decode(to_cyclotomic(alexander_encode(T))) == T
 
@@ -257,6 +257,38 @@ class TestDecode:
                 assert T == NODE
             else:
                 assert got == T
+
+    def test_agrees_with_exhaustive_search(self):
+        # every nonnegative vector of odd degree 3-7, plus off-image vectors
+        # whose largest index is degree - 1 (the search's worst case)
+        small = [d for d in range(1, 20) if totient(d) <= 7]
+
+        def vectors(rest, ds):
+            if rest == 0:
+                yield {}
+            for k, d in enumerate(ds):
+                if totient(d) <= rest:
+                    for tail in vectors(rest - totient(d), ds[k:]):
+                        yield {**tail, d: tail.get(d, 0) + 1}
+
+        cases = [CycloVector(e) for deg in (3, 5, 7) for e in vectors(deg, small)]
+        assert len(cases) == 166
+        rng = random.Random(3)
+        for deg in (9, 11, 13):
+            for _ in range(10):
+                exps = {deg - 1: 1}
+                rest = deg - totient(deg - 1)
+                while rest > 0:
+                    d = rng.choice([d for d in range(1, deg) if totient(d) <= rest])
+                    exps[d] = exps.get(d, 0) + 1
+                    rest -= totient(d)
+                cases.append(CycloVector(exps))
+        for v in cases:
+            try:
+                got = [alexander_decode(v)]
+            except NotInImage:
+                got = []
+            assert got == search_preimages(v, (peel_sequence(v).r + 3) // 2), v
 
 
 @st.composite

@@ -88,6 +88,16 @@ class TestValidate:
         codes = {v.code for v in validate(d)}
         assert "strand-alternation" in codes
 
+    def test_crossing_without_passages_reported(self):
+        # each open branch is one edge looped at the same four-valent vertex,
+        # which no strand passes through, so no crossing matrix exists
+        d = divide_from_json({
+            "branches": [{"closed": False, "walk": [1]}, {"closed": False, "walk": [2]}],
+            "rotations": {"0": [1, -1, 2, -2]},
+        })
+        codes = [v.code for v in validate(d)]
+        assert codes == ["endpoint-count", "missing-outer-face", "crossing-passages"]
+
     def test_euler_count_on_fixtures(self):
         d = node_divide()
         V = len(d.rotations)

@@ -199,6 +199,13 @@ class TestEllipseComposition:
         with pytest.raises(FamilyError, match="real branches"):
             family_ellipse_composition([with_line, self.part((1, 1))], [1.0, 1.6])
 
+    def test_one_conic_part_rejected(self):
+        # its conic is q = b t, not an ellipse the composition can rescale:
+        # built, the two parts' branches never cross
+        conic = family_semiquasi_pp([], [(1, 0, 1)], [1])
+        with pytest.raises(FamilyError):
+            family_ellipse_composition([conic, self.part((1, 1))], [1.0, 1.6])
+
     def test_equal_tangents_rejected(self):
         with pytest.raises(FamilyError):
             family_ellipse_composition([self.part((0, 1)), self.part((0, 1))], [1.0, 2.0])
