@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .divide import Divide, DivideError, FaceColoring, two_coloring
+from .divide import Divide, FaceColoring, two_coloring
 
 
 class AGError(ValueError):
@@ -253,14 +253,3 @@ def export_dot(g: AGDiagram) -> str:
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def diagram_to_json(g: AGDiagram) -> dict:
-    return {
-        "vertices": [
-            {"id": v.vid, "color": v.color, "origin": [v.origin_kind, v.origin_ref]}
-            for v in g.vertices
-        ],
-        "edges": [list(e) for e in g.edges],
-        "n_branches": g.n_branches,
-    }

@@ -19,7 +19,6 @@ from functools import cached_property
 from .singularity import (
     SingularityType,
     branch_delta,
-    delta_total,
     expected_inner_regions,
     expected_node_count,
 )
@@ -129,10 +128,6 @@ class Divide:
             for h in br.walk:
                 out[abs(h)] = bid
         return out
-
-    def endpoint_branch(self, v: int) -> int:
-        h = self.rotations[v][0]
-        return self.branch_of_edge[abs(h)]
 
     # -- passages through crossings -----------------------------------------
 
@@ -525,20 +520,6 @@ def crossing_matrix(d: Divide) -> list[list[int]]:
             M[b1][b2] += 1
             M[b2][b1] += 1
     return M
-
-
-def cyclic_boundary_order(d: Divide):
-    """Branch word along the disc boundary, canonical up to rotation and
-    reversal (lexicographically minimal representative)."""
-    word = tuple(d.endpoint_branch(v) for v in d.boundary)
-    if not word:
-        return ()
-    cands = []
-    n = len(word)
-    for w in (word, word[::-1]):
-        for k in range(n):
-            cands.append(w[k:] + w[:k])
-    return min(cands)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,24 @@
 """Explicit real deformation families with certified node counts.
 
-Each construction returns a FamilySpec: an exact symbolic polynomial
-F(x, y, t) whose zero set, for small t > 0, is the divide of a real
-morsification of the singularity the family deforms, together with that
-singularity's topological type and viewport metadata for the tracer.  The
-expected number of hyperbolic nodes is derived from the type.
+Each construction returns a FamilySpec: the coefficient matrix of a real
+polynomial F(x, y, t) as a function of t, whose zero set, for small t > 0,
+is the divide of a real morsification of the singularity the family
+deforms, together with that singularity's topological type and viewport
+metadata for the tracer.  The expected number of hyperbolic nodes is
+derived from the type.
 
-Conjugate-tangent families are built in the real coordinates
-u = x + alpha*y, v = beta*y, in which the conjugate tangent pair is
-u = +-iv; the complex line coordinates are w = u + iv and its conjugate.
+Constructors build the matrices with numpy polynomial products; sympy only
+parses the input of family_from_expression.  Conjugate-tangent families are
+built in the real coordinates u = x + alpha*y, v = beta*y, in which the
+conjugate tangent pair is u = +-iv; the complex line coordinate
+w = u + iv = x + (alpha + i beta) y is a complex matrix, and the real
+polynomials Re and Im of its powers are read off as .real and .imag.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from math import gcd
 from typing import Callable, Sequence
 
@@ -24,7 +28,6 @@ import sympy
 from .singularity import BranchType, SingularityType, expected_node_count
 
 X, Y, T = sympy.symbols("x y t", real=True)
-_U, _V = sympy.symbols("u v", real=True)
 
 
 class FamilyError(ValueError):
@@ -35,32 +38,25 @@ class FamilyError(ValueError):
 class FamilySpec:
     """A family and what the tracer needs to know about it.
 
-    Stored: the polynomial, a tag, the default parameter, the half-width of
-    the square viewport as a function of t, the singularity the family
-    deforms (None for a bare expression), the coefficients (A, B, C) of
-    u^2 + v^2 in x, y for each conjugate tangent pair of a family that a
-    composition may take as a part, and the per-t coefficient solver.
-    Derived from the singularity: the expected node count, delta - ImBr.
+    Stored: the coefficients of F(x, y, t) at a given t, as a matrix whose
+    entry [i, j] multiplies x^i y^j; a tag; the default parameter; the
+    half-width of the square viewport as a function of t; the singularity
+    the family deforms (None for a bare expression); and the coefficients
+    (A, B, C) of u^2 + v^2 in x, y for each conjugate tangent pair of a
+    family that a composition may take as a part.  Derived from the
+    singularity: the expected node count, delta - ImBr.
     """
 
-    expr: sympy.Expr
+    coeffs: Callable[[float], np.ndarray]
     tag: str
     t_default: float
     window: Callable[[float], float]
     singularity: SingularityType | None = None
     quads: tuple[tuple[float, float, float], ...] = ()
-    # families whose coefficients depend on t (the radial-profile levels of
-    # the one-Puiseux-pair construction) solve them here per parameter value
-    param_solver: Callable[[float], dict] | None = None
 
     @property
     def expected_nodes(self) -> int | None:
         return None if self.singularity is None else expected_node_count(self.singularity)
-
-    def expr_at(self, t: float) -> sympy.Expr:
-        if self.param_solver is None:
-            return self.expr
-        return self.expr.subs(self.param_solver(t))
 
     def evaluators(self, t: float):
         """F, dF/dx, dF/dy and the second partials Fxx, Fxy, Fyy at t.
@@ -72,10 +68,10 @@ class FamilySpec:
         axis, contracted with the coefficient matrix by one fixed einsum path:
         x table with the matrix first, then with the y table.
         """
-        terms = dict(sympy.Poly(self.expr_at(t).subs(T, t), X, Y).terms())
-        C = np.zeros(np.max(list(terms), axis=0) + 1)
-        for ij, c in terms.items():
-            C[ij] = float(c)
+        C = self.coeffs(t)
+        # trailing all-zero rows and columns would only lengthen the tables
+        rows, cols = np.nonzero(C)
+        C = C[: max(rows, default=0) + 1, : max(cols, default=0) + 1]
         der = np.polynomial.polynomial.polyder
         Cx, Cy = der(C, axis=0), der(C, axis=1)
         return tuple(map(_power_sum, (C, Cx, Cy, der(Cx, axis=0), der(Cx, axis=1), der(Cy, axis=1))))
@@ -101,44 +97,30 @@ def _power_sum(C: np.ndarray):
     return evaluate
 
 
-def _num(value):
-    """Exact sympy number where the input allows, Float otherwise."""
-    if isinstance(value, (int, sympy.Integer)):
-        return sympy.Integer(value)
-    if isinstance(value, Fraction):
-        return sympy.Rational(value.numerator, value.denominator)
-    if isinstance(value, str):
-        return sympy.nsimplify(value, rational=True)
-    if isinstance(value, sympy.Expr):
-        return value
-    if isinstance(value, float):
-        return sympy.Float(value)
-    raise FamilyError(f"unsupported coefficient {value!r}")
+def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Product of two polynomials in x, y given as coefficient matrices."""
+    out = np.zeros((A.shape[0] + B.shape[0] - 1, A.shape[1] + B.shape[1] - 1), np.result_type(A, B))
+    for (i, j), b in np.ndenumerate(B):
+        out[i:i + A.shape[0], j:j + A.shape[1]] += b * A
+    return out
 
 
-def _intify(x):
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    return x
+def _add(*terms) -> np.ndarray:
+    """Sum of coefficient matrices of any shapes; a number is a constant."""
+    terms = [np.atleast_2d(a) for a in terms]
+    out = np.zeros(np.max([a.shape for a in terms], axis=0), np.result_type(*terms))
+    for a in terms:
+        out[: a.shape[0], : a.shape[1]] += a
+    return out
 
 
-def _complex_parts(value) -> tuple[sympy.Expr, sympy.Expr]:
-    if isinstance(value, complex):
-        return _num(_intify(value.real)), _num(_intify(value.imag))
-    if isinstance(value, tuple) and len(value) == 2:
-        return _num(_intify(value[0])), _num(_intify(value[1]))
-    return _num(_intify(value)), sympy.Integer(0)
+def _power(A: np.ndarray, n: int) -> np.ndarray:
+    return reduce(_mul, [A] * n, np.ones((1, 1)))
 
 
-def _w_power_parts(N: int) -> tuple[sympy.Expr, sympy.Expr]:
-    """Re and Im of (u + iv)^N as exact polynomials."""
-    re, im = sympy.expand((_U + sympy.I * _V) ** N).as_real_imag()
-    return re, im
-
-
-def _tangent_subs(alpha, beta):
-    a, b = _num(alpha), _num(beta)
-    return {_U: X + a * Y, _V: b * Y}
+def _w(alpha, beta) -> np.ndarray:
+    """w = x + (alpha + i beta) y, a complex matrix."""
+    return np.array([[0, complex(float(alpha), float(beta))], [1, 0]])
 
 
 def _ellipse_extent(alpha, beta) -> float:
@@ -172,20 +154,11 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
             nexp = int(nexp)
             if nexp <= 1:
                 raise FamilyError("series exponents must exceed 1")
-            coeffs[nexp] = _complex_parts(a)
+            coeffs[nexp] = complex(a)
         data.append(coeffs)
     s = len(data)
     if s == 0:
         raise FamilyError("need at least one branch pair")
-
-    def series_re_im(coeffs):
-        re = sympy.Integer(0)
-        im = sympy.Integer(0)
-        for nexp, (ar, ai) in coeffs.items():
-            wr, wi = _w_power_parts(nexp)
-            re += ar * wr - ai * wi
-            im += ar * wi + ai * wr
-        return re, im
 
     n_pairwise = {}
     for i in range(s):
@@ -193,20 +166,20 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
             exps = sorted(set(data[i]) | set(data[j]))
             n_ij = None
             for nexp in exps:
-                if data[i].get(nexp, (0, 0)) != data[j].get(nexp, (0, 0)):
+                if data[i].get(nexp, 0) != data[j].get(nexp, 0):
                     n_ij = nexp
                     break
             if n_ij is None:
                 raise FamilyError(f"branches {i} and {j} coincide; the curve would be non-reduced")
             n_pairwise[(i, j)] = n_ij
 
-    F = sympy.Integer(1)
+    w = _w(alpha, beta)
+    circles = []
     for coeffs in data:
-        p_re, p_im = series_re_im(coeffs)
-        # w conj - g(w) = (u - Re g) - i (v + Im g)
-        phi = (_U - p_re) ** 2 + (_V + p_im) ** 2
-        F *= phi - T**2
-    F = sympy.expand(F.subs(_tangent_subs(alpha, beta)))
+        # w conj - g(w) = (u - Re g) - i (v + Im g), whose squared modulus is
+        # the circle polynomial
+        d = _add(w.conj(), *(-a * _power(w, nexp) for nexp, a in coeffs.items()))
+        circles.append(_add(_mul(d.real, d.real), _mul(d.imag, d.imag)))
 
     smooth = BranchType((1,))
     table = [[0] * (2 * s) for _ in range(2 * s)]
@@ -237,7 +210,7 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
         t_def = 0.2
 
     return FamilySpec(
-        expr=F,
+        coeffs=lambda t: reduce(_mul, (_add(c, -t * t) for c in circles)),
         tag="smooth-conjugate",
         t_default=t_def,
         window=window,
@@ -366,24 +339,21 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
     alpha, beta = tangent
     if float(beta) == 0:
         raise FamilyError("beta must be nonzero")
-    ar, ai = _complex_parts(a)
-    mod_a = math.hypot(float(ar), float(ai))
+    a = complex(a)
+    mod_a = abs(a)
     if mod_a == 0:
         raise FamilyError("a must be nonzero")
 
-    b_syms = [sympy.Dummy(f"b{i}") for i in range(p - 1)]
-    rho2 = _U**2 + _V**2
-    F = (rho2 - T**2) ** p
-    for i in range(p - 2, -1, -1):
-        F += T ** sympy.Rational((p - i) * (p + q), p) * b_syms[i] * (rho2 - T**2) ** i
-    wr, wi = _w_power_parts(p + q)
-    # a * conj(w)^N + conj(a) * w^N = 2(Re a * Re w^N + Im a * Im w^N)
-    F -= 2 * (ar * wr + ai * wi)
-    F = sympy.expand(F.subs(_tangent_subs(alpha, beta)))
+    w = _w(alpha, beta)
+    rho2 = _mul(w, w.conj()).real
+    # a * conj(w)^N + conj(a) * w^N = 2 Re(conj(a) w^N)
+    tail = 2 * (a.conjugate() * _power(w, p + q)).real
 
-    def solver(t):
+    def coeffs(t):
         levels = radial_profile_levels(p, q, mod_a, t)
-        return {sym: sympy.Float(lev) for sym, lev in zip(b_syms, levels)}
+        ring = _add(rho2, -t * t)
+        terms = [t ** ((p - i) * (p + q) / p) * b * _power(ring, i) for i, b in enumerate(levels)]
+        return _add(_power(ring, p), -tail, *terms)
 
     branch = BranchType((p, q))
     inter = p * p
@@ -404,13 +374,12 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
     t_def = min(0.25, (0.3 / lam0) ** (p / (q - p)))
 
     return FamilySpec(
-        expr=F,
+        coeffs=coeffs,
         tag=f"one-pair-{p}-{q}",
         t_default=t_def,
         window=window,
         singularity=sing,
         quads=(_quad_coeffs(alpha, beta),),
-        param_solver=solver,
     )
 
 
@@ -457,12 +426,9 @@ def family_semiquasi_pp(
         line_shifts = [base * (1 + 0.41 * idx) for idx in range(ell)]
     shifts = [float(cshift) for cshift in line_shifts]
 
-    F = sympy.Integer(1)
-    for (la, lb), cshift in zip(lines, shifts):
-        F *= _num(la) * X + _num(lb) * Y - _num(cshift) * T
-    for (A, B, C), bi in zip(quads, bs):
-        F *= _num(A) * X**2 + _num(B) * X * Y + _num(C) * Y**2 - _num(bi) * T
-    F = sympy.expand(F)
+    # each factor is a form in x, y minus its level times t
+    factors = [(np.array([[0, lb], [la, 0]]), cshift) for (la, lb), cshift in zip(lines, shifts)]
+    factors += [(np.array([[0, 0, C], [0, B, 0], [A, 0, 0]]), bi) for (A, B, C), bi in zip(quads, bs)]
 
     d = ell + 2 * k
     smooth = BranchType((1,))
@@ -478,7 +444,7 @@ def family_semiquasi_pp(
         return 1.45 * ext
 
     return FamilySpec(
-        expr=F,
+        coeffs=lambda t: reduce(_mul, (_add(form, -level * t) for form, level in factors)),
         tag="semiquasi-transversal",
         t_default=0.2,
         window=window,
@@ -558,32 +524,19 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
     if len(parts) > 1:
         _conic_pair_points(quads, gam, label="part ellipses")
 
-    F = sympy.Integer(1)
-    for spec, g in zip(parts, gam):
-        F *= spec.expr.subs(T, T * sympy.sqrt(_num(g)))
-    F = sympy.expand(F)
-
-    part_solvers = [
-        (spec.param_solver, math.sqrt(g)) for spec, g in zip(parts, gam) if spec.param_solver
-    ]
-
-    def solver(t):
-        subs = {}
-        for sv, fac in part_solvers:
-            subs.update(sv(t * fac))
-        return subs
+    def coeffs(t):
+        return reduce(_mul, (spec.coeffs(t * math.sqrt(g)) for spec, g in zip(parts, gam)))
 
     def window(t):
         return max(spec.window(t * math.sqrt(g)) for spec, g in zip(parts, gam))
 
     return FamilySpec(
-        expr=F,
+        coeffs=coeffs,
         tag="ellipse-composition",
         t_default=min(spec.t_default for spec in parts) * 0.9,
         window=window,
         singularity=_merge_part_singularities(parts),
         quads=quads,
-        param_solver=solver if part_solvers else None,
     )
 
 
@@ -599,18 +552,22 @@ def _merge_part_singularities(parts) -> SingularityType:
 
 
 def family_from_expression(expr, window: float, singularity=None) -> FamilySpec:
-    """Wrap an arbitrary real polynomial in x, y (and optionally t) for the
-    tracer.  No node count is asserted unless a singularity is supplied."""
+    """Wrap a real polynomial in x, y and t for the tracer.  sympy parses it
+    once into coefficients A[i, j, k] of x^i y^j t^k.  No node count is
+    asserted unless a singularity is supplied."""
     expr = sympy.sympify(expr, locals={"x": X, "y": Y, "t": T})
     extra = expr.free_symbols - {X, Y, T}
     if extra:
         raise FamilyError(f"expression may only involve x, y, t; found {extra}")
     try:
-        sympy.Poly(expr, X, Y)
-    except sympy.PolynomialError as exc:
-        raise FamilyError(f"expression is not a polynomial in x, y: {exc}") from exc
+        terms = sympy.Poly(expr, X, Y, T).terms()
+        A = np.zeros(np.max([ijk for ijk, _ in terms], axis=0) + 1)
+        for ijk, c in terms:
+            A[ijk] = float(c)
+    except (sympy.PolynomialError, TypeError) as exc:
+        raise FamilyError(f"expression is not a real polynomial in x, y, t: {exc}") from exc
     return FamilySpec(
-        expr=sympy.expand(expr),
+        coeffs=lambda t: A @ t ** np.arange(A.shape[2]),
         tag="custom",
         t_default=0.1,
         window=lambda t: float(window),
@@ -629,11 +586,14 @@ def family_parabola_pair(n: int) -> FamilySpec:
     n = int(n)
     if n < 2:
         raise FamilyError("need n >= 2")
-    prod = sympy.Integer(1)
-    for k in range(1, n + 1):
-        prod *= X - k
-    # (y - t x^2)^2 - t^(2n-4) prod(x - k)^2 after scaling and division by t^4
-    F = sympy.expand((Y - T * X**2) ** 2 - T ** (2 * n - 4) * prod**2)
+    prod = reduce(_mul, (np.array([[-k], [1]]) for k in range(1, n + 1)))
+    prod2 = _mul(prod, prod)
+
+    def coeffs(t):
+        # (y - t x^2)^2 - t^(2n-4) prod(x - k)^2 after scaling and division by t^4
+        graph = np.array([[0, 1], [0, 0], [-t, 0]])
+        return _add(_mul(graph, graph), -t ** (2 * n - 4) * prod2)
+
     smooth = BranchType((1,))
     sing = SingularityType((smooth, smooth), (), ((0, n), (n, 0)))
 
@@ -642,7 +602,7 @@ def family_parabola_pair(n: int) -> FamilySpec:
         return max(n + 1.6, 1.3 * t * n * n)
 
     return FamilySpec(
-        expr=F,
+        coeffs=coeffs,
         tag=f"parabola-pair-{n}",
         t_default=0.3 if n <= 3 else 0.45,
         window=window,

@@ -3,15 +3,23 @@
 These deliberately recompute quantities by different routes than the
 library: a literal blow-up of exact Puiseux parametrizations for the
 multiplicity sequence and delta, the conductor formula for delta,
-sympy rational-function arithmetic for Alexander polynomials, and a
-complete bounded search over conjugate-pair types for the decoder.
+sympy rational-function arithmetic for Alexander polynomials, a
+complete bounded search over conjugate-pair types for the decoder, and
+the deformation families as exact sympy expressions, multiplied out
+symbolically, for the numeric coefficient matrices.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, prod
+from typing import Callable
+
+import sympy
 
 from divides.alexander import ConjPairType, CycloVector, InvalidConjPair, alexander_encode, to_cyclotomic
+from divides.families import T, X, Y, radial_profile_levels
 
 
 class NeedMoreTerms(Exception):
@@ -271,3 +279,97 @@ def search_preimages(v: CycloVector, s_cap: int) -> list[ConjPairType]:
         for i in range(s):
             rec_n(s, i, [], 0)
     return found
+
+
+# --- exact families ------------------------------------------------------------
+
+_U, _V = sympy.symbols("u v", real=True)
+
+
+@dataclass(frozen=True)
+class ExactFamily:
+    """F(x, y, t) as an exact expression; ``solver(t)`` gives the values at t
+    of the level symbols a family solves per parameter value."""
+
+    expr: sympy.Expr
+    solver: Callable[[float], dict] | None = None
+
+    def at(self, t: float) -> sympy.Expr:
+        """F at the rational number equal to t: a polynomial in x, y."""
+        expr = self.expr if self.solver is None else self.expr.subs(self.solver(t))
+        return expr.subs(T, sympy.Rational(t))
+
+
+def _num(value):
+    """Exact sympy number where the input allows, Float otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        return sympy.Integer(int(value))
+    return sympy.Float(value) if isinstance(value, float) else sympy.Integer(value)
+
+
+def _w_power_parts(N: int) -> tuple[sympy.Expr, sympy.Expr]:
+    """Re and Im of (u + iv)^N as exact polynomials."""
+    return sympy.expand((_U + sympy.I * _V) ** N).as_real_imag()
+
+
+def _tangent_subs(alpha, beta):
+    return {_U: X + _num(alpha) * Y, _V: _num(beta) * Y}
+
+
+def exact_smooth_conjugate(branches, tangent=(0, 1)) -> ExactFamily:
+    F = sympy.Integer(1)
+    for spec in branches:
+        re = im = sympy.Integer(0)
+        for nexp, a in spec.items():
+            ar, ai = _num(complex(a).real), _num(complex(a).imag)
+            wr, wi = _w_power_parts(nexp)
+            re += ar * wr - ai * wi
+            im += ar * wi + ai * wr
+        F *= (_U - re) ** 2 + (_V + im) ** 2 - T**2
+    return ExactFamily(sympy.expand(F.subs(_tangent_subs(*tangent))))
+
+
+def exact_one_puiseux_pair(p, q, a, tangent=(0, 1)) -> ExactFamily:
+    ar, ai = _num(complex(a).real), _num(complex(a).imag)
+    b_syms = [sympy.Dummy(f"b{i}") for i in range(p - 1)]
+    rho2 = _U**2 + _V**2
+    F = (rho2 - T**2) ** p
+    for i in range(p - 2, -1, -1):
+        F += T ** sympy.Rational((p - i) * (p + q), p) * b_syms[i] * (rho2 - T**2) ** i
+    wr, wi = _w_power_parts(p + q)
+    F -= 2 * (ar * wr + ai * wi)
+
+    def solver(t):
+        levels = radial_profile_levels(p, q, abs(complex(a)), t)
+        return {sym: sympy.Float(lev) for sym, lev in zip(b_syms, levels)}
+
+    return ExactFamily(sympy.expand(F.subs(_tangent_subs(*tangent))), solver)
+
+
+def exact_semiquasi_pp(real_lines, quadrics, b, line_shifts=None) -> ExactFamily:
+    if line_shifts is None:
+        base = 0.35 * math.sqrt(min(b)) if b else 1.0
+        line_shifts = [base * (1 + 0.41 * idx) for idx in range(len(real_lines))]
+    F = sympy.Integer(1)
+    for (la, lb), cshift in zip(real_lines, line_shifts):
+        F *= _num(la) * X + _num(lb) * Y - _num(cshift) * T
+    for (A, B, C), bi in zip(quadrics, b):
+        F *= _num(A) * X**2 + _num(B) * X * Y + _num(C) * Y**2 - _num(bi) * T
+    return ExactFamily(sympy.expand(F))
+
+
+def exact_ellipse_composition(parts, gammas) -> ExactFamily:
+    F = sympy.Integer(1)
+    for part, g in zip(parts, gammas):
+        F *= part.expr.subs(T, T * sympy.sqrt(_num(g)))
+    solvers = [(part.solver, math.sqrt(g)) for part, g in zip(parts, gammas) if part.solver]
+
+    def solver(t):
+        return {sym: lev for sv, fac in solvers for sym, lev in sv(t * fac).items()}
+
+    return ExactFamily(sympy.expand(F), solver if solvers else None)
+
+
+def exact_parabola_pair(n) -> ExactFamily:
+    crossings = prod(X - k for k in range(1, n + 1))
+    return ExactFamily(sympy.expand((Y - T * X**2) ** 2 - T ** (2 * n - 4) * crossings**2))

@@ -10,7 +10,6 @@ from divides.ag import (
     build_diagram,
     classify_branch_diagram,
     detect_chains,
-    diagram_to_json,
     export_dot,
     is_partition,
 )
@@ -187,9 +186,3 @@ class TestExport:
         d = Divide([(False, [1])], {0: [1], 1: [-1]}, [0, 1])
         text = export_dot(build_diagram(d))
         assert text == "graph ag_diagram {\n}\n"
-
-    def test_json_dump(self):
-        g = build_diagram(figure_eight_divide())
-        obj = diagram_to_json(g)
-        assert len(obj["vertices"]) == 3
-        assert obj["n_branches"] == 1

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divides.alexander import (
-    AmbiguousDecode,
     ConjPairType,
     CycloVector,
     FactorForm,
@@ -210,7 +209,7 @@ class TestPeel:
         # where no factor indices merge: s = (r-1)//2 and i+1 = s - l//2
         for T in SAMPLE_TYPES:
             if T.n[T.i] == 1 and not (T.i == 0 and T.m[0] == 1):
-                continue  # merged square factor: read-off needs the fallback
+                continue  # merged square factor: the formulas above do not hold
             if T.i == 0 and T.n[0] == 1 and T.m[0] == 1 and T.s > 1:
                 continue  # fully collapsed spike
             res = peel_sequence(to_cyclotomic(alexander_encode(T)))

@@ -7,7 +7,6 @@ from divides.divide import (
     body,
     check_against_type,
     crossing_matrix,
-    cyclic_boundary_order,
     divide_from_json,
     divide_to_json,
     two_coloring,
@@ -205,29 +204,6 @@ class TestCrossingMatrix:
 
     def test_two_parabolas(self):
         assert crossing_matrix(two_parabolas_divide()) == [[0, 2], [2, 0]]
-
-
-class TestBoundaryOrder:
-    def test_node_word(self):
-        assert cyclic_boundary_order(node_divide()) == (0, 1, 0, 1)
-
-    def test_parabolas_word(self):
-        assert cyclic_boundary_order(two_parabolas_divide()) == (0, 0, 1, 1)
-
-    def test_single_segment(self):
-        d = Divide([(False, [1])], {0: [1], 1: [-1]}, [0, 1])
-        assert cyclic_boundary_order(d) == (0, 0)
-
-    def test_closed_only(self):
-        assert cyclic_boundary_order(circle_divide()) == ()
-
-    def test_reversal_invariance(self):
-        d = node_divide()
-        word = cyclic_boundary_order(d)
-        assert word == min(
-            [word[k:] + word[:k] for k in range(len(word))]
-            + [word[::-1][k:] + word[::-1][:k] for k in range(len(word))]
-        )
 
 
 class TestCheckAgainstType:

@@ -18,8 +18,17 @@ from divides.families import (
     family_smooth_conjugate,
     radial_profile_levels,
 )
-from divides.singularity import expected_inner_regions, expected_node_count, total_multiplicity
+from divides.singularity import expected_node_count, total_multiplicity
 from divides.tracing import TraceError, trace_divide
+
+from oracles import (
+    ExactFamily,
+    exact_ellipse_composition,
+    exact_one_puiseux_pair,
+    exact_parabola_pair,
+    exact_semiquasi_pp,
+    exact_smooth_conjugate,
+)
 
 
 class TestChebyshevLike:
@@ -87,9 +96,7 @@ class TestSmoothConjugate:
 
     def test_expression_is_real_polynomial(self):
         fam = family_smooth_conjugate([{2: complex(1, 1)}], tangent=(1, 2))
-        poly = sympy.Poly(fam.expr, X, Y, T)
-        for coeff in poly.coeffs():
-            assert sympy.im(coeff) == 0
+        assert np.isrealobj(fam.coeffs(fam.t_default))
 
 
 class TestOnePuiseuxPair:
@@ -116,10 +123,12 @@ class TestOnePuiseuxPair:
         # at t = 0 the family is (w wbar)^p - a wbar^(p+q) - abar w^(p+q)
         p, q = 2, 3
         fam = family_one_puiseux_pair(p, q, 1, tangent=(0, 1))
-        F0 = sympy.expand(fam.expr.subs(T, 0))
+        C0 = fam.coeffs(0.0)
         wr, wi = sympy.expand((X + sympy.I * Y) ** (p + q)).as_real_imag()
-        model = sympy.expand((X**2 + Y**2) ** p - 2 * wr)
-        assert sympy.simplify(F0 - model) == 0
+        model = np.zeros_like(C0)
+        for ij, c in sympy.Poly((X**2 + Y**2) ** p - 2 * wr, X, Y).terms():
+            model[ij] = float(c)
+        assert C0 == pytest.approx(model, abs=1e-12)
 
     def test_radial_profile_limits_to_chebyshev(self):
         levels_small = radial_profile_levels(2, 3, 1.0, 1e-6)
@@ -238,6 +247,11 @@ class TestCustomExpression:
         with pytest.raises(FamilyError):
             family_from_expression("sin(x) + y**2 - t", window=1.0)
 
+    @pytest.mark.parametrize("text", ["y - x**2 + sqrt(t)", "x*y - 1/t"])
+    def test_rejects_non_polynomial_in_t(self, text):
+        with pytest.raises(FamilyError, match="x, y, t"):
+            family_from_expression(text, window=1.0)
+
     def test_zero_polynomial_fails_evaluation(self):
         with pytest.raises(TraceError) as info:
             trace_divide(family_from_expression("x - x", window=1.0))
@@ -249,14 +263,33 @@ def _composition():
     return family_ellipse_composition(parts, [1.0, 1.6])
 
 
+CUSTOM = "x**3*y - 2*y**2*t + x*t**2 - 7"
+
 EVALUATOR_FAMILIES = {
     "smooth-conjugate": lambda: family_smooth_conjugate([{2: 1}, {2: complex(1, -1)}], (1, 2)),
     "one-pair": lambda: family_one_puiseux_pair(3, 4, 1),
+    "one-pair-complex": lambda: family_one_puiseux_pair(2, 5, complex(1, 2), (0.5, 1.5)),
     "semiquasi": lambda: family_semiquasi_pp([(1, 0)], [(1, 0, 2), (2, 1, 1)], [1, 1]),
     "parabola-pair": lambda: family_parabola_pair(3),
-    "custom": lambda: family_from_expression("x**3*y - 2*y**2*t + x*t**2 - 7", window=1.0),
+    "custom": lambda: family_from_expression(CUSTOM, window=1.0),
     "composition": _composition,
 }
+
+# the same families as exact expressions, multiplied out by sympy
+EXACT_FAMILIES = {
+    "smooth-conjugate": lambda: exact_smooth_conjugate([{2: 1}, {2: complex(1, -1)}], (1, 2)),
+    "one-pair": lambda: exact_one_puiseux_pair(3, 4, 1),
+    "one-pair-complex": lambda: exact_one_puiseux_pair(2, 5, complex(1, 2), (0.5, 1.5)),
+    "semiquasi": lambda: exact_semiquasi_pp([(1, 0)], [(1, 0, 2), (2, 1, 1)], [1, 1]),
+    "parabola-pair": lambda: exact_parabola_pair(3),
+    "custom": lambda: _exact(CUSTOM),
+    "composition": lambda: exact_ellipse_composition(
+        [exact_smooth_conjugate([{2: 1}], (0, 1)), exact_one_puiseux_pair(2, 3, 1, (1, 1))], [1.0, 1.6]),
+}
+
+
+def _exact(text):
+    return ExactFamily(sympy.sympify(text, locals={"x": X, "y": Y, "t": T}))
 
 
 class TestEvaluators:
@@ -267,7 +300,7 @@ class TestEvaluators:
     def test_points_match_sympy(self, name):
         fam = EVALUATOR_FAMILIES[name]()
         t = fam.t_default
-        expr = fam.expr_at(t).subs(T, sympy.Rational(t))
+        expr = EXACT_FAMILIES[name]().at(t)
         fx, fy = sympy.diff(expr, X), sympy.diff(expr, Y)
         exact = (expr, fx, fy, sympy.diff(fx, X), sympy.diff(fx, Y), sympy.diff(fy, Y))
         W = fam.window(t)
@@ -281,9 +314,10 @@ class TestEvaluators:
         checked where |x| and |y| are about the window."""
         conics = ["x**2 + y**2 - t", "x**2 - 2*y**2 + x*y - 1", "2*x**2 + y**2 - 3*x*y + x - 2",
                   "x**2 + 3*y**2 + 2*x*y - y - 5", "x**2 - y**2 + t*x*y + 1/2", "3*x**2 + y**2 - 2*t*y"]
-        fam = family_from_expression("*".join(f"({c})" for c in conics), window=1.5)
+        text = "*".join(f"({c})" for c in conics)
+        fam = family_from_expression(text, window=1.5)
         t = fam.t_default
-        expr = fam.expr_at(t).subs(T, sympy.Rational(t))
+        expr = _exact(text).at(t)
         assert sympy.Poly(expr, X, Y).degree(X) == sympy.Poly(expr, X, Y).degree(Y) == 12
         fx, fy = sympy.diff(expr, X), sympy.diff(expr, Y)
         exact = (expr, fx, fy, sympy.diff(fx, X), sympy.diff(fx, Y), sympy.diff(fy, Y))
