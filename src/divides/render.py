@@ -18,12 +18,6 @@ def svg_divide(traced: TracedDivide, size: int = 640) -> str:
     W = traced.meta.window
     scale = size / (2 * W)
 
-    def sx(x):
-        return fmt((x + W) * scale)
-
-    def sy(y):
-        return fmt((W - y) * scale)
-
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -33,13 +27,15 @@ def svg_divide(traced: TracedDivide, size: int = 640) -> str:
     for e in sorted(traced.strand_paths):
         path = traced.strand_paths[e]
         color = PALETTE[branch_of_edge[e] % len(PALETTE)]
-        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in path)
+        us, vs = ((path[:, 0] + W) * scale).tolist(), ((W - path[:, 1]) * scale).tolist()
+        pts = " ".join(f"{u:.12g},{v:.12g}" for u, v in zip(us, vs))
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
     for k, nd in enumerate(traced.nodes):
         lines.append(
-            f'<circle cx="{sx(nd.x)}" cy="{sy(nd.y)}" r="3" fill="black"><title>node {k}</title></circle>'
+            f'<circle cx="{fmt((nd.x + W) * scale)}" cy="{fmt((W - nd.y) * scale)}" r="3" fill="black">'
+            f'<title>node {k}</title></circle>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -49,8 +45,8 @@ def strands_csv(traced: TracedDivide) -> str:
     rows = ["branch,edge,point,x,y"]
     branch_of_edge = traced.divide.branch_of_edge
     for e in sorted(traced.strand_paths):
-        for idx, (x, y) in enumerate(traced.strand_paths[e]):
-            rows.append(f"{branch_of_edge[e]},{e},{idx},{fmt(x)},{fmt(y)}")
+        for idx, (x, y) in enumerate(traced.strand_paths[e].tolist()):
+            rows.append(f"{branch_of_edge[e]},{e},{idx},{x:.12g},{y:.12g}")
     return "\n".join(rows) + "\n"
 
 

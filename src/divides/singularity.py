@@ -199,8 +199,9 @@ def expected_node_count(s: SingularityType) -> int:
 
 
 def expected_inner_regions(s: SingularityType) -> int:
-    """Number of inner complementary regions of the divide: mu - (delta - ImBr)."""
-    return milnor_number(s) - expected_node_count(s)
+    """Number of inner complementary regions of the divide:
+    mu - (delta - ImBr) = delta - ReBr - ImBr + 1."""
+    return delta_total(s) - s.re_br - s.im_br + 1
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -276,23 +277,28 @@ def singularity_to_json(s: SingularityType) -> dict:
 
 
 def invariants_report(s: SingularityType) -> dict:
-    """All classical invariants in one dict (the CLI/service payload)."""
+    """All classical invariants in one dict (the CLI/service payload),
+    from one multiplicity sequence per slot and one delta."""
+    n = s.slot_count
+    seqs = [multiplicity_sequence(s.slot_branch(k)) for k in range(n)]
+    deltas = [sum(m * (m - 1) // 2 for m in seq) for seq in seqs]
+    delta = sum(deltas) + sum(s.intersections[i][j] for i in range(n) for j in range(i + 1, n))
     return {
         "multiplicity": total_multiplicity(s),
-        "delta": delta_total(s),
-        "milnor": milnor_number(s),
+        "delta": delta,
+        "milnor": 2 * delta - s.re_br - 2 * s.im_br + 1,
         "re_br": s.re_br,
         "im_br": s.im_br,
-        "expected_nodes": expected_node_count(s),
-        "expected_inner_regions": expected_inner_regions(s),
+        "expected_nodes": delta - s.im_br,
+        "expected_inner_regions": delta - s.re_br - s.im_br + 1,
         "branches": [
             {
                 "slot": k,
                 "kind": "real" if k < s.re_br else ("conj" if (k - s.re_br) % 2 == 0 else "conj_mirror"),
                 "char_exponents": list(s.slot_branch(k).char_exponents),
-                "multiplicity_sequence": multiplicity_sequence(s.slot_branch(k)),
-                "delta": branch_delta(s.slot_branch(k)),
+                "multiplicity_sequence": seqs[k],
+                "delta": deltas[k],
             }
-            for k in range(s.slot_count)
+            for k in range(n)
         ],
     }

@@ -13,9 +13,20 @@ the step before, i.e. at the rounding noise; 60 steps is the backstop.  A
 saddle counts as a node only when |F|/scale <= LEVEL_TOL; its crossing
 angle comes from the Hessian in closed form.
 
+The contour is held as integer point ids, one per grid edge whose ends
+differ in sign: h-edge ((i, j) to (i+1, j)) crossings first, then v-edge
+((i, j) to (i, j+1)) ones, each in np.nonzero order, with coordinates in a
+(P, 2) array.  Edge ids are found by np.searchsorted on sorted linear edge
+indices, so no grid-sized map is built.  The (P, 2) neighbour table holds
+in slot 0 the other end of a point's first segment in cell order, in slot
+1 that of its second, and -1 for none (rim, or cut away at a node); a walk
+leaves through slot 0.  Port and loop starts are taken in order of
+(x, y, rank of first appearance in the segments).
+
 Assembly is built on ports, the places where strands end: a node stub
 ("node", k, s) with s in counterclockwise order, a rim endpoint
-("rim", key, 0), and the two ends ("marker", l, 0) and ("marker", l, 1) of
+("rim", (side, index), 0) numbered counterclockwise from the corner
+(-W, -W), and the two ends ("marker", l, 0) and ("marker", l, 1) of
 a crossing-free loop, which is one more strand after all the others.  One
 table (vertex, slot) -> half-edge gives every rotation.  A branch goes
 straight through a vertex of valence n from slot s to slot s + n/2 (mod n)
@@ -26,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -121,6 +131,25 @@ def _nodes(funs, seeds, window, f_scale):
     return nodes
 
 
+def _seeds(funs, xs, ys, hx, vy):
+    """Newton seeds: the interior grid points where |grad F|^2 is a local
+    minimum, and the centres of the cells with four crossings.  A function
+    of its own so that the gradient grids are freed before the contour."""
+    g = np.square(funs[1](xs[:, None], ys))
+    g += np.square(funs[2](xs[:, None], ys))
+    interior, n = g[1:-1, 1:-1], len(xs) - 1
+    mins = np.ones_like(interior, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            mins &= interior <= g[1 + di : n + di, 1 + dj : n + dj]
+    amb = hx[:, :-1] & hx[:, 1:] & vy[:-1, :] & vy[1:, :]
+    (mi, mj), (ai, aj) = np.nonzero(mins), np.nonzero(amb)
+    return (np.concatenate([xs[mi + 1], 0.5 * (xs[ai] + xs[ai + 1])]),
+            np.concatenate([ys[mj + 1], 0.5 * (ys[aj] + ys[aj + 1])]))
+
+
 def trace_divide(family: FamilySpec, t: float | None = None, window: float | None = None,
                  grid_n: int = 512) -> TracedDivide:
     """Single tracing attempt at fixed parameters.
@@ -147,28 +176,11 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     if f_scale == 0:
         raise TraceError("evaluation", "family vanishes identically on the grid")
     S = F >= 0
-    cell = 2 * W / grid_n
-
-    # --- node seeds: local minima of |grad|^2 plus ambiguous cells ---------
-    Gx = funs[1](xs[:, None], ys)
-    Gy = funs[2](xs[:, None], ys)
-    g = Gx * Gx + Gy * Gy
-    interior = g[1:-1, 1:-1]
-    mins = np.ones_like(interior, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            mins &= interior <= g[1 + di : grid_n + di, 1 + dj : grid_n + dj]
-
     hx = S[:-1, :] != S[1:, :]  # horizontal edges
     vy = S[:, :-1] != S[:, 1:]  # vertical edges
-    amb = hx[:, :-1] & hx[:, 1:] & vy[:-1, :] & vy[1:, :]
-    (mi, mj), (ai, aj) = np.nonzero(mins), np.nonzero(amb)
-    seeds = (np.concatenate([xs[mi + 1], 0.5 * (xs[ai] + xs[ai + 1])]),
-             np.concatenate([ys[mj + 1], 0.5 * (ys[aj] + ys[aj + 1])]))
+    cell = 2 * W / grid_n
 
-    infos = _nodes(funs, seeds, W, f_scale)
+    infos = _nodes(funs, _seeds(funs, xs, ys, hx, vy), W, f_scale)
     infos.sort(key=lambda nd: (round(nd.x / (1e-9 * W)), round(nd.y / (1e-9 * W))))
     for nd in infos:
         if nd.tangent_gap < ANGLE_TOL:
@@ -204,127 +216,130 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     # one point on each edge whose ends differ in sign, linearly interpolated
     hi, hj = np.nonzero(hx)
     vi, vj = np.nonzero(vy)
+    nh, P = hi.size, hi.size + vi.size
+    if P == 0:
+        raise TraceError("contour", "no zero set found in the window")
+    xy = np.empty((P, 2))
     v1 = F[hi, hj]
-    hp = xs[hi] + v1 / (v1 - F[hi + 1, hj]) * cell
+    xy[:nh, 0] = xs[hi] + v1 / (v1 - F[hi + 1, hj]) * cell
+    xy[:nh, 1] = ys[hj]
     v1 = F[vi, vj]
-    vp = ys[vj] + v1 / (v1 - F[vi, vj + 1]) * cell
-    crossing = dict(zip(zip(repeat("h"), hi.tolist(), hj.tolist()), zip(hp.tolist(), ys[hj].tolist())))
-    crossing.update(zip(zip(repeat("v"), vi.tolist(), vj.tolist()), zip(xs[vi].tolist(), vp.tolist())))
+    xy[nh:, 0] = xs[vi]
+    xy[nh:, 1] = ys[vj] + v1 / (v1 - F[vi, vj + 1]) * cell
+    px, py = xy.T
 
-    # cells with a crossing and their bottom, right, top and left edge flags;
-    # a cell with four takes the sign of F at its centre
+    # cells with a crossing, their bottom, right, top and left edge flags, and
+    # the point ids on those edges, looked up in the sorted linear edge indices
     ci, cj = np.nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
     flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
+    hlin, vlin = hi * (grid_n + 1) + hj, vi * grid_n + vj
+    ids = np.stack([np.searchsorted(hlin, ci * (grid_n + 1) + cj),
+                    nh + np.searchsorted(vlin, (ci + 1) * grid_n + cj),
+                    np.searchsorted(hlin, ci * (grid_n + 1) + cj + 1),
+                    nh + np.searchsorted(vlin, ci * grid_n + cj)], axis=1)
+    # the signs change an even number of times around a cell.  Two crossings
+    # make one segment, in bottom, right, top, left order.  Four make two, one
+    # after the other; a cell with four takes the sign of F at its centre, and
+    # as corner A=(i,j)'s sign pattern alternates, the segments pair around
+    # corners B and D when the centre joins A's region
+    rows = np.arange(ci.size)
+    seg = np.stack([ids[rows, flags.argmax(axis=1)], ids[rows, 3 - flags[:, ::-1].argmax(axis=1)]], axis=1)
     four = flags.all(axis=1)
-    centre = f(0.5 * (xs[ci[four]] + xs[ci[four] + 1]), 0.5 * (ys[cj[four]] + ys[cj[four] + 1]))
-    # corners: A=(i,j) sign pattern alternates; pair around B and D when the
-    # centre joins A's region
-    joins_a = iter(((centre >= 0) == S[ci[four], cj[four]]).tolist())
+    i4, j4 = ci[four], cj[four]
+    centre = f(0.5 * (xs[i4] + xs[i4 + 1]), 0.5 * (ys[j4] + ys[j4 + 1]))
+    joins_a = (centre >= 0) == S[i4, j4]
+    _, right, top, left = ids[four].T
+    seg[four, 1] = np.where(joins_a, right, left)
+    at = rows + np.cumsum(four) - four
+    segs = np.empty((ci.size + i4.size, 2), dtype=seg.dtype)
+    segs[at] = seg
+    segs[at[four] + 1] = np.stack([top, np.where(joins_a, left, right)], axis=1)
 
-    adj: dict[tuple, list] = {}
+    # neighbour table, and each point's first appearance in the segments
+    on_seg = segs.ravel()
+    order = np.argsort(on_seg, kind="stable")
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = on_seg[order[1:]] != on_seg[order[:-1]]
+    rank = order[first]
+    nb = np.full((P, 2), -1, dtype=segs.dtype)
+    nb[on_seg[order], 1 - first] = segs[:, ::-1].ravel()[order]
 
-    def add_seg(k1, k2):
-        adj.setdefault(k1, []).append(k2)
-        adj.setdefault(k2, []).append(k1)
-
-    # the signs change an even number of times around a cell: two or four
-    for i, j, on in zip(ci.tolist(), cj.tolist(), flags.tolist()):
-        edges = [k for k, o in zip((("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j)), on) if o]
-        if len(edges) == 2:
-            add_seg(*edges)
-        else:
-            bottom, right, top, left = edges
-            if next(joins_a):
-                add_seg(bottom, right)
-                add_seg(top, left)
-            else:
-                add_seg(bottom, left)
-                add_seg(top, right)
-
-    if not adj:
-        raise TraceError("contour", "no zero set found in the window")
-    points = {key: crossing[key] for key in adj}
+    def by_position(pts):
+        """Point ids sorted by x, then y, then first appearance."""
+        return pts[np.lexsort((rank[pts], py[pts], px[pts]))]
 
     # --- cut the contour open around each node ------------------------------
-    keys = list(points)
-    xy = np.array(list(points.values()))
-    to_node = np.hypot(xy[:, :1] - [nd.x for nd in infos], xy[:, 1:] - [nd.y for nd in infos])
-    cut = np.flatnonzero((to_node < np.array(r_cuts)).any(axis=1))
-    removed = {keys[p] for p in cut.tolist()}
-    stub_ends: dict[int, list] = {k: [] for k in range(len(infos))}
+    to_node = np.hypot(px[:, None] - [nd.x for nd in infos], py[:, None] - [nd.y for nd in infos])
+    cut = (to_node < np.array(r_cuts)).any(axis=1)
+    removed = np.flatnonzero(cut)
     # a surviving neighbour of a removed point is a stub end of the nearest node
-    for p, nearest in zip(cut.tolist(), to_node[cut].argmin(axis=1).tolist() if removed else ()):
-        stub_ends[nearest].extend(nb for nb in adj[keys[p]] if nb not in removed)
-    adj = {k: [n for n in nbs if n not in removed] for k, nbs in adj.items() if k not in removed}
+    stubs = nb[removed]
+    kept = (stubs >= 0) & ~cut[stubs]
+    nearest = to_node[removed].argmin(axis=1) if removed.size else removed  # no argmin without nodes
+    stub_node = np.repeat(nearest, 2)[kept.ravel()]
+    stubs = stubs[kept]
+    nb[cut] = -1
+    nb[cut[nb] & (nb >= 0)] = -1
+    lone = nb[:, 0] < 0
+    nb[lone] = nb[lone, ::-1]
 
-    for k, ends in stub_ends.items():
-        ends = sorted(set(ends), key=lambda key: points[key])
+    # --- ports: where strands end -------------------------------------------
+    port_of: dict[int, tuple] = {}
+    for k, nd in enumerate(infos):
+        ends = by_position(np.unique(stubs[stub_node == k])).tolist()
         if len(ends) != 4:
             raise TraceError(
                 "node-degree",
                 f"node {k} has {len(ends)} strand ends after the cut (need 4); refine the grid",
             )
-        nd = infos[k]
-        ends.sort(key=lambda key: math.atan2(points[key][1] - nd.y, points[key][0] - nd.x))
-        stub_ends[k] = ends
-
-    # --- ports: where strands end -------------------------------------------
-    ports: dict[tuple, tuple] = {
-        key: ("node", k, s) for k, ends in stub_ends.items() for s, key in enumerate(ends)
-    }
-    for key, nbs in adj.items():
-        if len(nbs) == 1 and _rim_position(key, grid_n) is not None:
-            ports[key] = ("rim", key, 0)
+        ends.sort(key=lambda p: math.atan2(float(py[p]) - nd.y, float(px[p]) - nd.x))
+        port_of.update((p, ("node", k, s)) for s, p in enumerate(ends))
+    # a rim port is a point of degree 1 on an edge of the window frame
+    along, across = np.concatenate([hi, vj]), np.concatenate([hj, vi])
+    for p in np.flatnonzero((nb[:, 0] >= 0) & (nb[:, 1] < 0) & ((across == 0) | (across == grid_n))).tolist():
+        side = (2 if across[p] else 0) if p < nh else (1 if across[p] else 3)
+        port_of[p] = ("rim", (side, int(along[p]) if side < 2 else -int(along[p])), 0)
 
     # --- one walk for strands, then for crossing-free loops -----------------
-    seen: set = set()
+    nbl = nb.tolist()
+    seen = np.zeros(P, dtype=bool)
 
     def walk(start):
-        """Contour keys from start to the next port, or around to start."""
-        path = [start, adj[start][0]]
-        while path[-1] != start and path[-1] not in ports:
-            prev, cur = path[-2:]
-            nxts = [q for q in adj[cur] if q != prev]
-            if len(nxts) != 1:
-                raise TraceError("contour", f"contour point of degree {len(adj[cur])} at {points[cur]}")
-            path.append(nxts[0])
-        seen.update(path)
+        """Point ids from start to the next port, or around to start."""
+        path = [start, nbl[start][0]]
+        prev, cur = path
+        while cur != start and cur not in port_of:
+            a, b = nbl[cur]
+            prev, cur = cur, b if a == prev else a
+            if cur < 0:
+                raise TraceError("contour", f"contour point of degree 1 at {tuple(xy[prev].tolist())}")
+            path.append(cur)
+        seen[path] = True
         return path
 
     paths, strand_ends = [], []
-    for key in sorted(ports, key=points.get):
-        if adj[key] and key not in seen:
-            paths.append(walk(key))
-            strand_ends.append((ports[key], ports[paths[-1][-1]]))
+    for p in by_position(np.array(list(port_of), dtype=int)).tolist():
+        if nbl[p][0] >= 0 and not seen[p]:
+            paths.append(walk(p))
+            strand_ends.append((port_of[p], port_of[paths[-1][-1]]))
     # a loop is one more strand, between the two slots of its marker
     n_strands = len(paths)
-    for key in sorted(adj, key=points.get):
-        if key not in seen and key not in ports:
+    for p in by_position(np.flatnonzero(~(cut | seen))).tolist():
+        if not seen[p] and p not in port_of:
             loop = len(paths) - n_strands
-            paths.append(walk(key))
+            paths.append(walk(p))
             strand_ends.append((("marker", loop, 0), ("marker", loop, 1)))
-    edge_paths = {e: np.array([points[k] for k in p]) for e, p in enumerate(paths, start=1)}
-    divide = _assemble(infos, strand_ends, edge_paths, grid_n)
+    edge_paths = {e: xy[p] for e, p in enumerate(paths, start=1)}
+    divide = _assemble(infos, strand_ends, edge_paths)
     expected = family.expected_nodes
     return TracedDivide(divide, infos, edge_paths, TraceMeta(t, grid_n, W),
                         expected is None or len(infos) == expected)
 
 
-def _rim_position(key, grid_n):
-    """(side, index) of a contour key on the window rim, increasing
-    counterclockwise from the corner (-W, -W); None off the rim."""
-    kind, i, j = key
-    along, across = (i, j) if kind == "h" else (j, i)
-    if across not in (0, grid_n):
-        return None
-    side = (2 if across else 0) if kind == "h" else (1 if across else 3)
-    return side, along if side < 2 else -along
-
-
 VALENCE = {"node": 4, "rim": 1, "marker": 2}
 
 
-def _assemble(infos, strand_ends, edge_paths, grid_n) -> Divide:
+def _assemble(infos, strand_ends, edge_paths) -> Divide:
     # port table: (kind, id, slot) -> the half-edge leaving that vertex there
     half_at: dict[tuple, int] = {}
     for e, ends in enumerate(strand_ends, start=1):
@@ -333,7 +348,7 @@ def _assemble(infos, strand_ends, edge_paths, grid_n) -> Divide:
                 raise TraceError("assembly", f"two strands claim port {port}")
             half_at[port] = h
     # vertices: nodes 0..K-1, rim endpoints next in boundary order, markers last
-    rims = sorted({p[:2] for p in half_at if p[0] == "rim"}, key=lambda v: _rim_position(v[1], grid_n))
+    rims = sorted({p[:2] for p in half_at if p[0] == "rim"})
     markers = sorted({p[:2] for p in half_at if p[0] == "marker"})
     vertices = [("node", k) for k in range(len(infos))] + rims + markers
     rotations: dict[int, list[int]] = {}

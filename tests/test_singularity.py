@@ -1,5 +1,6 @@
 import pytest
 
+from divides.alexander import conj_pair_singularity, enumerate_conj_pair_types
 from divides.singularity import (
     BranchType,
     InvalidSingularity,
@@ -228,3 +229,41 @@ class TestJson:
         rep = invariants_report(node_type())
         assert rep["delta"] == 1 and rep["expected_nodes"] == 1
         assert len(rep["branches"]) == 2
+
+
+def assert_report_matches_functions(s):
+    rep = invariants_report(s)
+    assert rep["multiplicity"] == total_multiplicity(s)
+    assert rep["delta"] == delta_total(s)
+    assert rep["milnor"] == milnor_number(s)
+    assert (rep["re_br"], rep["im_br"]) == (s.re_br, s.im_br)
+    assert rep["expected_nodes"] == expected_node_count(s)
+    assert rep["expected_inner_regions"] == expected_inner_regions(s)
+    branches = [s.slot_branch(k) for k in range(s.slot_count)]
+    assert [b["multiplicity_sequence"] for b in rep["branches"]] == [multiplicity_sequence(b) for b in branches]
+    assert [b["delta"] for b in rep["branches"]] == [branch_delta(b) for b in branches]
+
+
+class TestReportAgainstFunctions:
+    """invariants_report computes delta once and derives the counts from it;
+    every field must equal the function that computes it alone."""
+
+    def test_conj_pair_types(self):
+        types = list(enumerate_conj_pair_types(3, 4, 20))
+        assert len(types) == 932
+        for T in types:
+            assert_report_matches_functions(conj_pair_singularity(T))
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            node_type(),
+            SingularityType((CUSP,), ()),
+            SingularityType((CUSP, CUSP), (), table(2, 6)),
+            SingularityType((SMOOTH,), (SMOOTH,), table(3, 1)),
+            SingularityType((SMOOTH,), (CUSP,), ((0, 2, 2), (2, 0, 4), (2, 4, 0))),
+        ],
+        ids=["node", "cusp", "two-cusps", "line-and-pair", "line-and-cusp-pair"],
+    )
+    def test_types_with_real_branches(self, s):
+        assert_report_matches_functions(s)

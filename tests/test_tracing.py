@@ -187,6 +187,80 @@ def test_saddle_off_the_zero_level_is_discarded():
     assert exc.value.reason == "validation"
 
 
+def contour_points(family, meta) -> set:
+    """Every crossing of the zero set with a grid edge, interpolated
+    linearly along the edge as the tracer does, as (x, y) tuples."""
+    n, W = meta.grid_n, meta.window
+    xs = np.linspace(-W, W, n + 1)
+    F = family.evaluators(meta.t)[0](xs[:, None], xs)
+    S = F >= 0
+    cell = 2 * W / n
+    hi, hj = np.nonzero(S[:-1, :] != S[1:, :])
+    vi, vj = np.nonzero(S[:, :-1] != S[:, 1:])
+    hx = xs[hi] + F[hi, hj] / (F[hi, hj] - F[hi + 1, hj]) * cell
+    vy = xs[vj] + F[vi, vj] / (F[vi, vj] - F[vi, vj + 1]) * cell
+    return set(zip(hx.tolist(), xs[hj].tolist())) | set(zip(xs[vi].tolist(), vy.tolist()))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: family_parabola_pair(3),
+        lambda: family_smooth_conjugate([{2: 1}, {2: -1}]),
+        lambda: family_one_puiseux_pair(3, 4, 1),
+        lambda: family_semiquasi_pp([(1, 0), (0, 1)], [(1, 0, 2), (2, 0, 1)], [1, 1]),
+        # a crossing-free loop
+        lambda: family_from_expression("x**2 + 2*y**2 - 0.25", window=1.0),
+    ],
+    ids=["parabola-pair-3", "smooth-conjugate", "one-pair-3-4", "semiquasi", "ellipse"],
+)
+def test_strand_paths_cover_the_contour(make):
+    """Every contour point outside the cut discs lies on exactly one strand
+    path (a crossing-free loop repeats its first point at its end), and
+    consecutive points lie in one grid cell."""
+    family = make()
+    traced = trace_divide(family, grid_n=512)
+    cell = 2 * traced.meta.window / traced.meta.grid_n
+    walked = []
+    for path in traced.strand_paths.values():
+        assert np.hypot(*np.diff(path, axis=0).T).max() <= math.sqrt(2) * cell
+        closed = (path[0] == path[-1]).all()
+        walked += map(tuple, path[: -1 if closed else None].tolist())
+    assert len(set(walked)) == len(walked)
+    contour = contour_points(family, traced.meta)
+    assert contour >= set(walked)
+    # the rest was cut away: each point is nearer to some node than every
+    # walked point is
+    nodes = np.array([(nd.x, nd.y) for nd in traced.nodes]).reshape(-1, 2)
+    reach = np.hypot(*(np.array(walked)[:, None, :] - nodes).transpose(2, 0, 1)).min(axis=0)
+    cut = np.array(sorted(contour - set(walked))).reshape(-1, 2)
+    assert (np.hypot(*(cut[:, None, :] - nodes).transpose(2, 0, 1)) < reach).any(axis=1).all()
+    assert len(cut) >= 4 * len(nodes)
+
+
+def test_diagonal_through_grid_vertices():
+    """F vanishes exactly at every diagonal grid vertex, where an h-edge and
+    a v-edge crossing share one coordinate; the walk takes both, in the
+    order of their first appearance."""
+    traced = trace_divide(family_from_expression("y - x", window=1.0), grid_n=512)
+    assert [br.closed for br in traced.divide.branches] == [False]
+    [path] = traced.strand_paths.values()
+    assert path.shape == (1024, 2)
+    assert path[0].tolist() == [-1.0, -1.0] and path[-1].tolist() == [1.0, 1.0]
+    assert (np.diff(path[:, 0]) >= 0).all()
+    xs = np.linspace(-1.0, 1.0, 513)
+    still = np.flatnonzero((np.diff(path, axis=0) == 0).all(axis=1))
+    assert path[still].tolist() == [[x, x] for x in xs[1:-1].tolist()]
+
+
+def test_node_at_a_grid_vertex():
+    traced = trace_divide(family_from_expression("(y - x)*(y + 2*x)", window=1.0), grid_n=512)
+    assert validate(traced.divide) == []
+    assert traced.crossing_count == 1
+    assert len(traced.divide.branches) == 2
+    assert len(traced.strand_paths) == 4
+
+
 class TestTwoCuspsFixture:
     path = os.path.join(DATA, "two_cusps_divide.json")
     cusp = BranchType((2, 3))
