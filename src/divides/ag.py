@@ -31,7 +31,6 @@ class AGVertex:
 class AGDiagram:
     vertices: tuple[AGVertex, ...]
     edges: tuple[tuple[int, int], ...]  # unordered pairs (u < v), one entry per parallel edge
-    n_branches: int
 
     @cached_property
     def _adjacency(self) -> dict[int, list[int]]:
@@ -104,7 +103,7 @@ def build_diagram(d: Divide, col: FaceColoring | None = None) -> AGDiagram:
                 edges.append((min(u, w), max(u, w)))
 
     edges.sort()
-    g = AGDiagram(tuple(vertices), tuple(edges), len(d.branches))
+    g = AGDiagram(tuple(vertices), tuple(edges))
     for u, v in g.edges:
         cu, cv = g.vertices[u].color, g.vertices[v].color
         if cu == cv and cu != 0:
@@ -216,31 +215,6 @@ def detect_chains(g: AGDiagram) -> list[Chain]:
     ]
     maximal.sort(key=lambda c: c.vertices)
     return maximal
-
-
-def classify_branch_diagram(g: AGDiagram) -> str:
-    """"real" or "conjugate_pair" for a single-branch divide's diagram.
-
-    A real branch shows a univalent crossing vertex, or a bivalent one
-    joined to regions of both signs; a closed (conjugate-pair) branch
-    never does.  An empty diagram can only come from a smooth boundary-
-    to-boundary segment, hence a real branch.
-    """
-    if g.n_branches != 1:
-        raise AGError(f"diagram built from {g.n_branches} branches, need exactly 1")
-    if not g.vertices:
-        return "real"
-    for v in g.vertices:
-        if v.color != 0:
-            continue
-        deg = g.degree(v.vid)
-        if deg == 1:
-            return "real"
-        if deg == 2:
-            signs = sorted(g.vertices[u].color for u in g.neighbors(v.vid))
-            if signs == [-1, 1]:
-                return "real"
-    return "conjugate_pair"
 
 
 def export_dot(g: AGDiagram) -> str:

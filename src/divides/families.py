@@ -7,27 +7,28 @@ deforms, together with that singularity's topological type and viewport
 metadata for the tracer.  The expected number of hyperbolic nodes is
 derived from the type.
 
-Constructors build the matrices with numpy polynomial products; sympy only
-parses the input of family_from_expression.  Conjugate-tangent families are
-built in the real coordinates u = x + alpha*y, v = beta*y, in which the
-conjugate tangent pair is u = +-iv; the complex line coordinate
+Constructors build the matrices with numpy polynomial products, and
+family_from_expression parses +, -, * and / by constants over x, y, t and
+real numbers, with non-negative integer literal exponents (not x**(1+1) or
+x**2**2), by the stdlib ast into the same products.  Conjugate-tangent
+families are built in the real coordinates u = x + alpha*y, v = beta*y, in
+which the conjugate tangent pair is u = +-iv; the complex line coordinate
 w = u + iv = x + (alpha + i beta) y is a complex matrix, and the real
 polynomials Re and Im of its powers are read off as .real and .imag.
 """
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from math import gcd
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy
 
 from .singularity import BranchType, SingularityType, expected_node_count
-
-X, Y, T = sympy.symbols("x y t", real=True)
 
 
 class FamilyError(ValueError):
@@ -98,24 +99,25 @@ def _power_sum(C: np.ndarray):
 
 
 def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of two polynomials in x, y given as coefficient matrices."""
-    out = np.zeros((A.shape[0] + B.shape[0] - 1, A.shape[1] + B.shape[1] - 1), np.result_type(A, B))
-    for (i, j), b in np.ndenumerate(B):
-        out[i:i + A.shape[0], j:j + A.shape[1]] += b * A
+    """Product of two polynomials given as coefficient arrays, one axis per variable."""
+    out = np.zeros(np.add(A.shape, B.shape) - 1, np.result_type(A, B))
+    for index, b in np.ndenumerate(B):
+        out[tuple(slice(i, i + n) for i, n in zip(index, A.shape))] += b * A
     return out
 
 
 def _add(*terms) -> np.ndarray:
-    """Sum of coefficient matrices of any shapes; a number is a constant."""
+    """Sum of coefficient arrays of any shapes; a number is a constant."""
     terms = [np.atleast_2d(a) for a in terms]
     out = np.zeros(np.max([a.shape for a in terms], axis=0), np.result_type(*terms))
     for a in terms:
-        out[: a.shape[0], : a.shape[1]] += a
+        out[tuple(map(slice, a.shape))] += a
     return out
 
 
 def _power(A: np.ndarray, n: int) -> np.ndarray:
-    return reduce(_mul, [A] * n, np.ones((1, 1)))
+    # the unit has A's dtype: a float 1 would round the parser's Fractions
+    return reduce(_mul, [A] * n, np.ones((1,) * A.ndim, A.dtype))
 
 
 def _w(alpha, beta) -> np.ndarray:
@@ -551,20 +553,18 @@ def _merge_part_singularities(parts) -> SingularityType:
     return SingularityType((), tuple(b for s in sings for b in s.conj_pairs), table)
 
 
-def family_from_expression(expr, window: float, singularity=None) -> FamilySpec:
-    """Wrap a real polynomial in x, y and t for the tracer.  sympy parses it
-    once into coefficients A[i, j, k] of x^i y^j t^k.  No node count is
-    asserted unless a singularity is supplied."""
-    expr = sympy.sympify(expr, locals={"x": X, "y": Y, "t": T})
-    extra = expr.free_symbols - {X, Y, T}
-    if extra:
-        raise FamilyError(f"expression may only involve x, y, t; found {extra}")
+def family_from_expression(expr: str, window: float, singularity=None) -> FamilySpec:
+    """Wrap a real polynomial in x, y and t for the tracer, parsed once into
+    the coefficients A[i, j, k] of x^i y^j t^k.  The grammar: the names x, y
+    and t, int and float literals (not bool), unary and binary + and -, *, /
+    by a non-zero constant, and ** (or ^, as sympify reads it) with a
+    non-negative integer literal exponent, so x**(1+1) and x**2**2 are
+    refused.  Anything else raises FamilyError.  No node count is asserted
+    unless a singularity is supplied."""
     try:
-        terms = sympy.Poly(expr, X, Y, T).terms()
-        A = np.zeros(np.max([ijk for ijk, _ in terms], axis=0) + 1)
-        for ijk, c in terms:
-            A[ijk] = float(c)
-    except (sympy.PolynomialError, TypeError) as exc:
+        # ^ is replaced in the text, not the tree: it binds more loosely than +
+        A = _polynomial(ast.parse(expr.strip().replace("^", "**"), mode="eval").body).astype(float)
+    except (SyntaxError, OverflowError) as exc:  # the latter from a coefficient beyond float range
         raise FamilyError(f"expression is not a real polynomial in x, y, t: {exc}") from exc
     return FamilySpec(
         coeffs=lambda t: A @ t ** np.arange(A.shape[2]),
@@ -573,6 +573,32 @@ def family_from_expression(expr, window: float, singularity=None) -> FamilySpec:
         window=lambda t: float(window),
         singularity=singularity,
     )
+
+
+def _polynomial(node: ast.expr) -> np.ndarray:
+    """Coefficients of x, y, t of an expression tree, multiplied out exactly
+    in object arrays of ints and Fractions, so each is rounded once, to float."""
+    if isinstance(node, ast.Name):
+        if node.id not in ("x", "y", "t"):
+            raise FamilyError(f"expression may only involve x, y, t; found {node.id}")
+        return np.arange(2, dtype=object).reshape([1 + (v == node.id) for v in "xyt"])
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return np.full((1, 1, 1), Fraction(node.value), object)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        A = _polynomial(node.operand)
+        return -A if isinstance(node.op, ast.USub) else A
+    if isinstance(node, ast.BinOp):
+        A, op, n = _polynomial(node.left), type(node.op), node.right
+        if op is ast.Pow and isinstance(n, ast.Constant) and type(n.value) is int and n.value >= 0:
+            return _power(A, n.value)
+        B = _polynomial(n)
+        if op in (ast.Add, ast.Sub):
+            return _add(A, -B if op is ast.Sub else B)
+        if op is ast.Mult:
+            return _mul(A, B)
+        if op is ast.Div and B.flat[0] != 0 and not B.flat[1:].any():
+            return A / Fraction(B.flat[0])
+    raise FamilyError(f"expression is not a real polynomial in x, y, t: {ast.unparse(node)}")
 
 
 def family_parabola_pair(n: int) -> FamilySpec:

@@ -19,7 +19,9 @@ from typing import Callable
 import sympy
 
 from divides.alexander import ConjPairType, CycloVector, InvalidConjPair, alexander_encode, to_cyclotomic
-from divides.families import T, X, Y, radial_profile_levels
+from divides.families import radial_profile_levels
+
+X, Y, T = sympy.symbols("x y t", real=True)
 
 
 class NeedMoreTerms(Exception):

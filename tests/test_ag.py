@@ -5,10 +5,8 @@ import pytest
 
 from divides.ag import (
     AGDiagram,
-    AGError,
     AGVertex,
     build_diagram,
-    classify_branch_diagram,
     detect_chains,
     export_dot,
     is_partition,
@@ -79,7 +77,7 @@ class TestAdjacency:
         colors = [0, 1, 0, -1]
         vertices = tuple(AGVertex(i, c, "region" if c else "crossing", i) for i, c in enumerate(colors))
         edges = ((0, 1), (0, 1), (0, 3), (1, 2), (2, 3))
-        g = AGDiagram(vertices, edges, 1)
+        g = AGDiagram(vertices, edges)
         for v in range(4):
             assert g.neighbors(v) == [b if a == v else a for a, b in edges if v in (a, b)]
             assert g.degree(v) == len(g.neighbors(v))
@@ -143,25 +141,6 @@ class TestChains:
         c1 = detect_chains(build_diagram(d, col))
         c2 = detect_chains(build_diagram(d, col.flip()))
         assert [(c.vertices, c.length) for c in c1] == [(c.vertices, c.length) for c in c2]
-
-
-class TestClassify:
-    def test_cusp_real(self):
-        assert classify_branch_diagram(build_diagram(cusp_divide())) == "real"
-
-    def test_circle_conjugate(self):
-        assert classify_branch_diagram(build_diagram(circle_divide())) == "conjugate_pair"
-
-    def test_figure_eight_conjugate(self):
-        assert classify_branch_diagram(build_diagram(figure_eight_divide())) == "conjugate_pair"
-
-    def test_segment_real(self):
-        d = Divide([(False, [1])], {0: [1], 1: [-1]}, [0, 1])
-        assert classify_branch_diagram(build_diagram(d)) == "real"
-
-    def test_multi_branch_rejected(self):
-        with pytest.raises(AGError):
-            classify_branch_diagram(build_diagram(node_divide()))
 
 
 class TestExport:

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +11,6 @@ import sympy
 
 from divides.families import (
     FamilyError,
-    T,
-    X,
-    Y,
     chebyshev_like,
     family_ellipse_composition,
     family_from_expression,
@@ -29,6 +31,20 @@ from oracles import (
     exact_semiquasi_pp,
     exact_smooth_conjugate,
 )
+
+X, Y, T = sympy.symbols("x y t", real=True)
+
+
+# the expressions the tests trace or evaluate, and a few that exercise ^,
+# division and float literals
+PARSER_CORPUS = [
+    "y**2 - x**2 + t", "x - x", "x**3*y - 2*y**2*t + x*t**2 - 7",
+    "(x**2 + y**2 - t)*(x**2 - 2*y**2 + x*y - 1)*(2*x**2 + y**2 - 3*x*y + x - 2)"
+    "*(x**2 + 3*y**2 + 2*x*y - y - 5)*(x**2 - y**2 + t*x*y + 1/2)*(3*x**2 + y**2 - 2*t*y)",
+    "(x - y**2 + 0.5)*(y - 0.1)", "(y - x + 0.1)*(y + 2*x - 0.05)", "(x - 0.1)*(y - 0.3*x)",
+    "(x - 0.1)*(y + 0.05)", "(x - 0.1)**2 - (y + 0.05)**2 - 1e-7", "x**2 + 2*y**2 - 0.25", "y - x",
+    "(y - x)*(y + 2*x)", "x^3 - 2*x*y^2 + t^2", "1/2", "-(x+1)**3/3 + t/7*y", "(0.1*x + 0.2*y - 0.3)**5",
+]
 
 
 class TestChebyshevLike:
@@ -240,22 +256,50 @@ class TestCustomExpression:
         assert fam.expected_nodes is None
 
     def test_rejects_foreign_symbols(self):
-        with pytest.raises(FamilyError):
+        with pytest.raises(FamilyError, match="may only involve x, y, t; found z"):
             family_from_expression("y**2 - z", window=1.0)
 
     def test_rejects_non_polynomial(self):
         with pytest.raises(FamilyError):
             family_from_expression("sin(x) + y**2 - t", window=1.0)
 
-    @pytest.mark.parametrize("text", ["y - x**2 + sqrt(t)", "x*y - 1/t"])
+    @pytest.mark.parametrize("text", ["y - x**2 + sqrt(t)", "x*y - 1/t", "x**2.0", "1/x", "x**-1", "x**y",
+                                      "x + 1j", "x/0", "True*x", "x +", "10**400*x"])
     def test_rejects_non_polynomial_in_t(self, text):
-        with pytest.raises(FamilyError, match="x, y, t"):
+        with pytest.raises(FamilyError, match="not a real polynomial in x, y, t"):
             family_from_expression(text, window=1.0)
 
     def test_zero_polynomial_fails_evaluation(self):
         with pytest.raises(TraceError) as info:
             trace_divide(family_from_expression("x - x", window=1.0))
         assert info.value.reason == "evaluation"
+
+    @pytest.mark.parametrize("text", PARSER_CORPUS)
+    def test_matches_sympy_poly(self, text):
+        """Coefficients at t_default against sympy's, padded to one shape:
+        trailing zero rows and columns are no difference."""
+        fam = family_from_expression(text, window=1.0)
+        ours = fam.coeffs(fam.t_default)
+        terms = sympy.Poly(_exact(text).at(fam.t_default), X, Y).terms()
+        theirs = np.zeros(np.maximum(ours.shape, np.max([ij for ij, _ in terms], axis=0) + 1))
+        for ij, c in terms:
+            theirs[ij] = float(c)
+        ours = np.pad(ours, [(0, n - m) for n, m in zip(theirs.shape, ours.shape)])
+        assert np.abs(ours - theirs).max() <= 1e-15 * np.abs(theirs).max()
+
+
+def test_runtime_never_imports_sympy():
+    """Importing every module and tracing a parsed expression leaves sympy
+    unloaded."""
+    check = textwrap.dedent("""\
+        import sys
+        from divides import ag, alexander, divide, families, render, singularity, tracing
+        traced = tracing.trace_divide(families.family_from_expression("(y - x)*(y + 2*x)", 1.0), grid_n=128)
+        assert traced.crossing_count == 1
+        assert "sympy" not in sys.modules, "sympy was imported"
+        """)
+    subprocess.run([sys.executable, "-c", check], cwd=Path(__file__).resolve().parents[1],
+                   env={**os.environ, "PYTHONPATH": "src"}, check=True)
 
 
 def _composition():
