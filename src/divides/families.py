@@ -60,14 +60,12 @@ class FamilySpec:
         return None if self.singularity is None else expected_node_count(self.singularity)
 
     def evaluators(self, t: float):
-        """F, dF/dx, dF/dy and the second partials Fxx, Fxy, Fyy at t.
+        """F, its gradient (Fx, Fy) and its Hessian (Fxx, Fxy, Fyy) at t.
 
-        Each evaluates at the points of np.broadcast(x, y): a float at a
+        Each evaluates at the points of np.broadcast(x, y): floats at a
         scalar point, values at paired points for arrays of one shape, and
-        the grid of values at (xs[i], ys[j]) for f(xs[:, None], ys).  The
-        tables of powers x^i and y^j are running products along a new last
-        axis, contracted with the coefficient matrix by one fixed einsum path:
-        x table with the matrix first, then with the y table.
+        the grid of values at (xs[i], ys[j]) for f(xs[:, None], ys); the
+        gradient and the Hessian return a tuple, one array per partial.
         """
         C = self.coeffs(t)
         # trailing all-zero rows and columns would only lengthen the tables
@@ -75,25 +73,35 @@ class FamilySpec:
         C = C[: max(rows, default=0) + 1, : max(cols, default=0) + 1]
         der = np.polynomial.polynomial.polyder
         Cx, Cy = der(C, axis=0), der(C, axis=1)
-        return tuple(map(_power_sum, (C, Cx, Cy, der(Cx, axis=0), der(Cx, axis=1), der(Cy, axis=1))))
+        return (_power_sum(C), _power_sum(Cx, Cy),
+                _power_sum(der(Cx, axis=0), der(Cx, axis=1), der(Cy, axis=1)))
 
 
-def _power_sum(C: np.ndarray):
-    """(x, y) -> sum of C[i, j] x^i y^j."""
+def _power_sum(*Cs: np.ndarray):
+    """(x, y) -> sum of C[i, j] x^i y^j for each C, one value or a tuple.
+
+    One table of powers x^i (running products) and one of y^j serve every
+    C, each taking the prefixes it needs.  x is contracted first; y on a
+    grid by a second matrix product, at paired points by np.vecdot."""
+    nx, ny = max(C.shape[0] for C in Cs), max(C.shape[1] for C in Cs)
 
     def powers(v, n):
-        # the running product 1, v, v*v, ... along a new last axis
-        table = np.empty(np.shape(v) + (n,))
-        table[..., 0] = 1
-        table[..., 1:] = np.expand_dims(v, -1)
-        return np.multiply.accumulate(table, axis=-1)
+        table = np.empty((v.size, n))
+        table[:, 0] = 1
+        table[:, 1:] = v[:, None]
+        return np.multiply.accumulate(table, axis=1)
 
     def evaluate(x, y):
-        # the fixed path skips einsum's search on every call and still ends in
-        # a matrix product on a grid; [()] turns the 0-d result at a scalar
-        # point into a float
-        return np.einsum("...i,ij,...j->...", powers(x, C.shape[0]), C, powers(y, C.shape[1]),
-                         optimize=["einsum_path", (0, 1), (0, 1)])[()]
+        grid = np.ndim(x) == 2 and np.shape(x)[1] == 1 and np.ndim(y) == 1
+        if not grid:
+            x, y = np.broadcast_arrays(x, y)
+        X, Y = powers(np.ravel(x), nx), powers(np.ravel(y), ny)
+        out = []
+        for C in Cs:
+            XC, Yk = (C.T @ X[:, : C.shape[0]].T).T, Y[:, : C.shape[1]]
+            # [()] turns the 0-d result at a scalar point into a float
+            out.append(XC @ Yk.T if grid else np.vecdot(XC, Yk).reshape(x.shape)[()])
+        return out[0] if len(Cs) == 1 else tuple(out)
 
     return evaluate
 
@@ -149,15 +157,9 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
     alpha, beta = tangent
     if float(beta) == 0:
         raise FamilyError("beta must be nonzero: tangents must be non-real")
-    data = []
-    for spec in branches:
-        coeffs = {}
-        for nexp, a in spec.items():
-            nexp = int(nexp)
-            if nexp <= 1:
-                raise FamilyError("series exponents must exceed 1")
-            coeffs[nexp] = complex(a)
-        data.append(coeffs)
+    data = [{int(nexp): complex(a) for nexp, a in spec.items()} for spec in branches]
+    if any(nexp <= 1 for coeffs in data for nexp in coeffs):
+        raise FamilyError("series exponents must exceed 1")
     s = len(data)
     if s == 0:
         raise FamilyError("need at least one branch pair")
@@ -165,12 +167,8 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
     n_pairwise = {}
     for i in range(s):
         for j in range(i + 1, s):
-            exps = sorted(set(data[i]) | set(data[j]))
-            n_ij = None
-            for nexp in exps:
-                if data[i].get(nexp, 0) != data[j].get(nexp, 0):
-                    n_ij = nexp
-                    break
+            exps = sorted(data[i].keys() | data[j].keys())
+            n_ij = next((nexp for nexp in exps if data[i].get(nexp, 0) != data[j].get(nexp, 0)), None)
             if n_ij is None:
                 raise FamilyError(f"branches {i} and {j} coincide; the curve would be non-reduced")
             n_pairwise[(i, j)] = n_ij

@@ -7,11 +7,9 @@ node with the rotation read from the cut-end angles, then assemble
 branches, boundary order, and the planar map.
 
 Nodes are found by Newton's method on grad F, run from all seeds at once
-as arrays (the evaluators take paired points as well as grids).  A seed
-stops when its step falls below 1e-8*W without shrinking to less than half
-the step before, i.e. at the rounding noise; 60 steps is the backstop.  A
-saddle counts as a node only when |F|/scale <= LEVEL_TOL; its crossing
-angle comes from the Hessian in closed form.
+as arrays, one gradient and one Hessian evaluation per step.  A saddle
+counts as a node only when |F|/scale <= LEVEL_TOL; its crossing angle
+comes from the Hessian in closed form.
 
 The contour is held as integer point ids, one per grid edge whose ends
 differ in sign: h-edge ((i, j) to (i+1, j)) crossings first, then v-edge
@@ -82,7 +80,7 @@ class TracedDivide:
         return len(self.nodes)
 
 
-def _nodes(funs, seeds, window, f_scale):
+def _nodes(f, gradient, hessian, seeds, window, f_scale):
     """Saddles of F on the zero level, Newton-refined on grad F from all
     seeds at once, deduplicated in seed order.
 
@@ -90,7 +88,6 @@ def _nodes(funs, seeds, window, f_scale):
     its previous step: the step has reached the rounding noise and stopped
     shrinking.  60 steps is the backstop.  A seed is kept when
     |grad F|*window/f_scale < 1e-11 where it stopped."""
-    f, fx, fy, fxx, fxy, fyy = funs
     x, y = np.array(seeds, dtype=float)
     live = np.ones(x.shape, dtype=bool)
     last = np.full(x.shape, np.inf)
@@ -99,8 +96,8 @@ def _nodes(funs, seeds, window, f_scale):
         if idx.size == 0:
             break
         xl, yl = x[idx], y[idx]
-        gx, gy = fx(xl, yl), fy(xl, yl)
-        hxx, hxy, hyy = fxx(xl, yl), fxy(xl, yl), fyy(xl, yl)
+        gx, gy = gradient(xl, yl)
+        hxx, hxy, hyy = hessian(xl, yl)
         det = hxx * hyy - hxy * hxy
         stuck = np.abs(det) < 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -115,11 +112,11 @@ def _nodes(funs, seeds, window, f_scale):
         last[idx] = step
         live[idx] = inside & ~stuck & ~stalled
         x[idx[~inside]] = np.nan  # left the box: dropped
-    grad = np.hypot(fx(x, y), fy(x, y)) * window / f_scale
+    grad = np.hypot(*gradient(x, y)) * window / f_scale
     ok = grad < 1e-11
     x, y, grad = x[ok], y[ok], grad[ok]
     level = np.abs(f(x, y)) / f_scale
-    a, b, c = fxx(x, y), fxy(x, y), fyy(x, y)
+    a, b, c = hessian(x, y)
     disc = b * b - a * c
     # angle between the two null lines of the Hessian quadratic form, the
     # crossing tangents
@@ -131,21 +128,25 @@ def _nodes(funs, seeds, window, f_scale):
     return nodes
 
 
-def _seeds(funs, xs, ys, hx, vy):
-    """Newton seeds: the interior grid points where |grad F|^2 is a local
-    minimum, and the centres of the cells with four crossings.  A function
+def _nonzero(mask):
+    """np.nonzero of a 2-D mask, by one flat pass."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _seeds(gradient, xs, ys, hx, vy):
+    """Newton seeds: the interior grid points where |grad F|^2 is no larger
+    than the least of its 3x3 block (found separably, in the gradient
+    buffers), and the centres of the cells with four crossings.  A function
     of its own so that the gradient grids are freed before the contour."""
-    g = np.square(funs[1](xs[:, None], ys))
-    g += np.square(funs[2](xs[:, None], ys))
-    interior, n = g[1:-1, 1:-1], len(xs) - 1
-    mins = np.ones_like(interior, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            mins &= interior <= g[1 + di : n + di, 1 + dj : n + dj]
-    amb = hx[:, :-1] & hx[:, 1:] & vy[:-1, :] & vy[1:, :]
-    (mi, mj), (ai, aj) = np.nonzero(mins), np.nonzero(amb)
+    gx, gy = gradient(xs[:, None], ys)
+    g = np.square(gx, out=gx)
+    g += np.square(gy, out=gy)
+    least = np.minimum(g[:, :-2], g[:, 1:-1], out=gy[:, 1:-1])
+    np.minimum(least, g[:, 2:], out=least)
+    block = np.minimum(least[:-2], least[1:-1])
+    np.minimum(block, least[2:], out=block)
+    mi, mj = _nonzero(g[1:-1, 1:-1] <= block)
+    ai, aj = _nonzero(hx[:, :-1] & hx[:, 1:] & vy[:-1, :] & vy[1:, :])
     return (np.concatenate([xs[mi + 1], 0.5 * (xs[ai] + xs[ai + 1])]),
             np.concatenate([ys[mj + 1], 0.5 * (ys[aj] + ys[aj + 1])]))
 
@@ -165,10 +166,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     if t <= 0:
         raise TraceError("parameters", "t must be positive")
     W = family.window(t) if window is None else float(window)
-    funs = family.evaluators(t)
-    f = funs[0]
-    xs = np.linspace(-W, W, grid_n + 1)
-    ys = np.linspace(-W, W, grid_n + 1)
+    f, gradient, hessian = family.evaluators(t)
+    xs = ys = np.linspace(-W, W, grid_n + 1)
     F = f(xs[:, None], ys)
     if not np.isfinite(F).all():
         raise TraceError("evaluation", "family evaluation produced non-finite values")
@@ -180,7 +179,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     vy = S[:, :-1] != S[:, 1:]  # vertical edges
     cell = 2 * W / grid_n
 
-    infos = _nodes(funs, _seeds(funs, xs, ys, hx, vy), W, f_scale)
+    infos = _nodes(f, gradient, hessian, _seeds(gradient, xs, ys, hx, vy), W, f_scale)
     infos.sort(key=lambda nd: (round(nd.x / (1e-9 * W)), round(nd.y / (1e-9 * W))))
     for nd in infos:
         if nd.tangent_gap < ANGLE_TOL:
@@ -214,8 +213,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
 
     # --- contour extraction -------------------------------------------------
     # one point on each edge whose ends differ in sign, linearly interpolated
-    hi, hj = np.nonzero(hx)
-    vi, vj = np.nonzero(vy)
+    hi, hj = _nonzero(hx)
+    vi, vj = _nonzero(vy)
     nh, P = hi.size, hi.size + vi.size
     if P == 0:
         raise TraceError("contour", "no zero set found in the window")
@@ -230,7 +229,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
 
     # cells with a crossing, their bottom, right, top and left edge flags, and
     # the point ids on those edges, looked up in the sorted linear edge indices
-    ci, cj = np.nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
+    ci, cj = _nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
     flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
     hlin, vlin = hi * (grid_n + 1) + hj, vi * grid_n + vj
     ids = np.stack([np.searchsorted(hlin, ci * (grid_n + 1) + cj),

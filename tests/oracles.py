@@ -6,7 +6,10 @@ multiplicity sequence and delta, the conductor formula for delta,
 sympy rational-function arithmetic for Alexander polynomials, a
 complete bounded search over conjugate-pair types for the decoder, and
 the deformation families as exact sympy expressions, multiplied out
-symbolically, for the numeric coefficient matrices.
+symbolically, for the numeric coefficient matrices.  Two numeric
+references keep the tracer's array kernels honest: the evaluator as one
+einsum per partial, and the local minima of a grid by eight neighbour
+comparisons.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from fractions import Fraction
 from math import gcd, inf, prod
 from typing import Callable
 
+import numpy as np
 import sympy
 
 from divides.alexander import ConjPairType, CycloVector, InvalidConjPair, alexander_encode, to_cyclotomic
@@ -375,3 +379,44 @@ def exact_ellipse_composition(parts, gammas) -> ExactFamily:
 def exact_parabola_pair(n) -> ExactFamily:
     crossings = prod(X - k for k in range(1, n + 1))
     return ExactFamily(sympy.expand((Y - T * X**2) ** 2 - T ** (2 * n - 4) * crossings**2))
+
+
+# --- numeric references --------------------------------------------------------
+
+
+def einsum_evaluators(fam, t) -> tuple[Callable, ...]:
+    """F, Fx, Fy, Fxx, Fxy, Fyy at t, each its own einsum over fresh power
+    tables (x table with the matrix first, then with the y table), as the
+    evaluator computed them before the partials shared their tables."""
+    C = fam.coeffs(t)
+    rows, cols = np.nonzero(C)
+    C = C[: max(rows, default=0) + 1, : max(cols, default=0) + 1]
+    der = np.polynomial.polynomial.polyder
+    Cx, Cy = der(C, axis=0), der(C, axis=1)
+    return tuple(map(_einsum_power_sum, (C, Cx, Cy, der(Cx, axis=0), der(Cx, axis=1), der(Cy, axis=1))))
+
+
+def _einsum_power_sum(C):
+    def powers(v, n):
+        table = np.empty(np.shape(v) + (n,))
+        table[..., 0] = 1
+        table[..., 1:] = np.expand_dims(v, -1)
+        return np.multiply.accumulate(table, axis=-1)
+
+    def evaluate(x, y):
+        return np.einsum("...i,ij,...j->...", powers(x, C.shape[0]), C, powers(y, C.shape[1]),
+                         optimize=["einsum_path", (0, 1), (0, 1)])[()]
+
+    return evaluate
+
+
+def local_minima(g) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) into g[1:-1, 1:-1], in np.nonzero order, of the
+    interior points no larger than any of their eight neighbours."""
+    interior, n = g[1:-1, 1:-1], g.shape[0] - 1
+    mins = np.ones_like(interior, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                mins &= interior <= g[1 + di : n + di, 1 + dj : g.shape[1] - 1 + dj]
+    return np.nonzero(mins)

@@ -153,20 +153,20 @@ class TestOnePuiseuxPair:
     def test_radial_profile_puts_saddles_on_zero_level(self):
         fam = family_one_puiseux_pair(3, 4, 1)
         t = fam.t_default
-        f, fx, fy = fam.evaluators(t)[:3]
+        f, gradient, hessian = fam.evaluators(t)
         # the node near angle 0 on the ellipse: search a coarse ring
         rr, th = np.meshgrid(np.linspace(0.9 * t, 1.1 * t, 60), np.linspace(0, 2 * math.pi, 600),
                              indexing="ij")
         ring_x, ring_y = rr * np.cos(th), rr * np.sin(th)
-        best = np.argmin(fx(ring_x, ring_y) ** 2 + fy(ring_x, ring_y) ** 2)
+        gx, gy = gradient(ring_x, ring_y)
+        best = np.argmin(gx**2 + gy**2)
         x, y = float(ring_x.flat[best]), float(ring_y.flat[best])
         # Newton polish
-        fxx, fxy, fyy = fam.evaluators(t)[3:]
         for _ in range(40):
-            gx, gy = fx(x, y), fy(x, y)
-            det = fxx(x, y) * fyy(x, y) - fxy(x, y) ** 2
-            x -= (-fyy(x, y) * gx + fxy(x, y) * gy) / -det
-            y -= (fxy(x, y) * gx - fxx(x, y) * gy) / -det
+            gx, gy = gradient(x, y)
+            hxx, hxy, hyy = hessian(x, y)
+            det = hxx * hyy - hxy**2
+            x, y = x - (hyy * gx - hxy * gy) / det, y - (hxx * gy - hxy * gx) / det
         assert abs(f(x, y)) < 1e-12 * max(abs(f(t, t)), 1.0)
 
 
@@ -336,6 +336,12 @@ def _exact(text):
     return ExactFamily(sympy.sympify(text, locals={"x": X, "y": Y, "t": T}))
 
 
+def partials(fam, t, x, y) -> tuple:
+    """F, Fx, Fy, Fxx, Fxy, Fyy at (x, y), from the family's evaluators."""
+    value, gradient, hessian = fam.evaluators(t)
+    return (value(x, y), *gradient(x, y), *hessian(x, y))
+
+
 class TestEvaluators:
     """The compiled evaluators against exact sympy values of F and its
     first and second partials."""
@@ -350,8 +356,8 @@ class TestEvaluators:
         W = fam.window(t)
         for x, y in [(W / 3, -2 * W / 7), (-5 * W / 8, 3 * W / 11)]:
             point = {X: sympy.Rational(x), Y: sympy.Rational(y)}
-            for fun, e in zip(fam.evaluators(t), exact):
-                assert fun(x, y) == pytest.approx(float(e.subs(point)), rel=1e-12)
+            for value, e in zip(partials(fam, t, x, y), exact):
+                assert value == pytest.approx(float(e.subs(point)), rel=1e-12)
 
     def test_degree_twelve_near_the_rim(self):
         """Six conics multiplied out: the power tables run up to x^12 and y^12,
@@ -368,8 +374,8 @@ class TestEvaluators:
         W = fam.window(t)
         for x, y in [(W, -0.9 * W), (-0.95 * W, W), (-W, -W)]:
             point = {X: sympy.Rational(x), Y: sympy.Rational(y)}
-            for fun, e in zip(fam.evaluators(t), exact):
-                assert fun(x, y) == pytest.approx(float(e.subs(point)), rel=1e-12)
+            for value, e in zip(partials(fam, t, x, y), exact):
+                assert value == pytest.approx(float(e.subs(point)), rel=1e-12)
 
     @pytest.mark.parametrize("name", ["one-pair", "composition"])
     def test_grid_matches_points(self, name):
@@ -378,11 +384,11 @@ class TestEvaluators:
         W = fam.window(t)
         xs = np.linspace(-W, W, 9)
         ys = np.linspace(-W, 0.5 * W, 7)
-        for fun in fam.evaluators(t):
-            grid = fun(xs[:, None], ys)
-            assert grid.shape == (9, 7)
-            for i, j in [(0, 0), (3, 5), (8, 6), (5, 2)]:
-                assert grid[i, j] == pytest.approx(fun(xs[i], ys[j]), rel=1e-12)
+        grids = partials(fam, t, xs[:, None], ys)
+        for i, j in [(0, 0), (3, 5), (8, 6), (5, 2)]:
+            for grid, value in zip(grids, partials(fam, t, xs[i], ys[j]), strict=True):
+                assert grid.shape == (9, 7)
+                assert grid[i, j] == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["one-pair", "composition"])
     def test_paired_points_match_points(self, name):
@@ -391,8 +397,7 @@ class TestEvaluators:
         W = fam.window(t)
         rng = np.random.default_rng(0)
         xs, ys = rng.uniform(-W, W, (2, 3, 4))
-        for fun in fam.evaluators(t):
-            values = fun(xs, ys)
+        expected = zip(*(partials(fam, t, float(x), float(y)) for x, y in zip(xs.flat, ys.flat)))
+        for values, points in zip(partials(fam, t, xs, ys), expected, strict=True):
             assert values.shape == (3, 4)
-            expected = [fun(float(x), float(y)) for x, y in zip(xs.flat, ys.flat)]
-            assert values.ravel() == pytest.approx(expected, rel=1e-12)
+            assert values.ravel() == pytest.approx(points, rel=1e-12)
