@@ -113,31 +113,6 @@ def build_diagram(d: Divide, col: FaceColoring | None = None) -> AGDiagram:
     return g
 
 
-def is_partition(d: Divide) -> bool:
-    """Whether the closures of any two inner regions meet in nothing, one
-    vertex, or one closed arc."""
-    inner = list(d.inner_faces)
-    cells_between: dict[frozenset, list[set[int]]] = {}
-    for chain, is_inner in d.one_cells:
-        if is_inner:
-            sides = frozenset(d.one_cell_sides(chain))
-            cells_between.setdefault(sides, []).append(d.one_cell_end_vertices(chain))
-    corners: dict[int, set[int]] = {}
-    for f in inner:
-        corners[f] = {d.origin(h) for h in d.faces[f] if len(d.rotations[d.origin(h)]) == 4}
-    for a in range(len(inner)):
-        for b in range(a + 1, len(inner)):
-            f1, f2 = inner[a], inner[b]
-            shared_cells = cells_between.get(frozenset((f1, f2)), [])
-            shared_verts = corners[f1] & corners[f2]
-            if not shared_cells and len(shared_verts) <= 1:
-                continue
-            if len(shared_cells) == 1 and shared_verts == shared_cells[0]:
-                continue
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Chain:
     vertices: tuple[int, ...]  # path order

@@ -6,8 +6,10 @@ j <= i and differ by the sign of the purely imaginary tail.  The reduced
 Alexander polynomial of the pair is a product of cyclotomic polynomials;
 this module implements the closed-form factored encoding, the conversion
 to an exact cyclotomic exponent vector, the peel decomposition, and the
-decoding back to the pair type: a read-off of the peel sequence (the
-encoding is injective), verified by re-encoding.
+decoding back to the pair type.  The decoder is a read-off of the peel
+sequence, verified by the re-encode: re-encoding what was read and
+comparing with the input alone decides membership (the encoding is
+injective).
 """
 from __future__ import annotations
 
@@ -27,8 +29,11 @@ class NotInImage(ValueError):
 
 
 class AmbiguousDecode(ValueError):
-    """Two distinct valid types encode to the same vector; alexander_decode
-    never raises it, because the encoding is injective."""
+    """Never raised: the encoding is injective, so no two types share a
+    vector.  It stays only because perfbench/workloads.offimage_op names it
+    in an ``except`` tuple; Python evaluates that tuple when NotInImage
+    reaches it, so without this class every off-image operation would
+    fail with AttributeError."""
 
 
 class ExpansionError(ValueError):
@@ -123,22 +128,6 @@ class NodeType:
         return ConjPairType(1, 0, (1,), (1,))
 
 
-@dataclass(frozen=True)
-class Derived:
-    """Integer quantities feeding the factor formula."""
-
-    n: int
-    w: tuple[int, ...]
-    e: dict[int, int]  # 1-based j -> e_j, for i+2 <= j <= s
-    n_list: tuple[int, ...]
-
-    def b(self, j1: int, j2: int) -> int:
-        """Product n_{j1} .. n_{j2} (1-based, empty product = 1)."""
-        if j1 > j2:
-            return 1
-        return prod(self.n_list[j1 - 1 : j2])
-
-
 def w_sequence(m, n) -> list[int]:
     """The recursion w_1 = m_1, w_j = m_j - m_{j-1} n_j + w_{j-1} n_{j-1} n_j
     on raw exponent data (these are the Puiseux semigroup generators)."""
@@ -148,17 +137,9 @@ def w_sequence(m, n) -> list[int]:
     return w
 
 
-def derived_quantities(T: ConjPairType) -> Derived:
-    s, i, m, n = T.s, T.i, T.m, T.n
-    w = w_sequence(m, n)
-
-    def b(j1, j2):
-        return prod(n[j1 - 1 : j2]) if j1 <= j2 else 1
-
-    e: dict[int, int] = {}
-    for j in range(i + 2, s + 1):  # 1-based
-        e[j] = w[i] * b(i + 1, s) * b(i + 2, j - 1) + w[j - 1] * b(j + 1, s)
-    return Derived(prod(n), tuple(w), e, tuple(n))
+def _b(n, j1: int, j2: int) -> int:
+    """b_{j1,j2} = n_{j1} .. n_{j2} (1-based); an empty span gives 1."""
+    return prod(n[j1 - 1 : j2])
 
 
 def _tau_exponents(T: ConjPairType) -> list[int]:
@@ -214,54 +195,47 @@ def conj_pair_singularity(T: ConjPairType) -> SingularityType:
 # --- factored and cyclotomic representations --------------------------------
 
 
-class FactorForm:
+class _Exponents:
+    """Integer exponents over indices >= 1, summed per index, zeros dropped
+    and sorted by index; a subclass names the field that holds them."""
+
+    __slots__ = ()
+    field = ""
+
+    def __init__(self, exps: dict[int, int]):
+        clean: dict[int, int] = {}
+        for d, k in exps.items():
+            d, k = int(d), int(k)
+            if d < 1:
+                raise ValueError(f"{type(self).__name__} indices must be >= 1")
+            clean[d] = clean.get(d, 0) + k
+        setattr(self, self.field, {d: k for d, k in sorted(clean.items()) if k})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and getattr(self, self.field) == getattr(other, self.field)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({getattr(self, self.field)})"
+
+
+class FactorForm(_Exponents):
     """Product of (t^N - 1)^k factors as a map N -> k, zero entries dropped."""
 
     __slots__ = ("factors",)
-
-    def __init__(self, factors: dict[int, int]):
-        clean = {}
-        for N, k in factors.items():
-            N, k = int(N), int(k)
-            if N < 1:
-                raise ValueError("factor indices must be >= 1")
-            if k:
-                clean[N] = clean.get(N, 0) + k
-        self.factors = {N: k for N, k in sorted(clean.items()) if k}
+    field = "factors"
 
     def degree(self) -> int:
         return sum(N * k for N, k in self.factors.items())
 
-    def __eq__(self, other):
-        return isinstance(other, FactorForm) and self.factors == other.factors
 
-    def __repr__(self):
-        return f"FactorForm({self.factors})"
-
-
-class CycloVector:
+class CycloVector(_Exponents):
     """Exponent vector over cyclotomic indices: product of Phi_d^exps[d]."""
 
     __slots__ = ("exps",)
-
-    def __init__(self, exps: dict[int, int]):
-        clean = {}
-        for d, k in exps.items():
-            d, k = int(d), int(k)
-            if d < 1:
-                raise ValueError("cyclotomic indices must be >= 1")
-            if k:
-                clean[d] = clean.get(d, 0) + k
-        self.exps = {d: k for d, k in sorted(clean.items()) if k}
+    field = "exps"
 
     def degree(self) -> int:
         return sum(k * totient(d) for d, k in self.exps.items())
-
-    def __eq__(self, other):
-        return isinstance(other, CycloVector) and self.exps == other.exps
-
-    def __repr__(self):
-        return f"CycloVector({self.exps})"
 
 
 def to_cyclotomic(F: FactorForm) -> CycloVector:
@@ -336,25 +310,28 @@ def alexander_encode(T: ConjPairType) -> FactorForm:
     (t-1)/(t^{2n}-1) * prod_{j<=i} (t^{2 w_j b_{j,s}}-1)/(t^{2 w_j b_{j+1,s}}-1)
     * (t^{2 w_{i+1} b_{i+1,s}}-1)^2 / (t^{2 w_{i+1} b_{i+2,s}}-1)
     * prod_{j>=i+2} [(t^{n_j e_j}-1)/(t^{e_j}-1)]^2
+
+    with n = n_1 .. n_s, w from w_sequence and
+    e_j = w_{i+1} b_{i+1,s} b_{i+2,j-1} + w_j b_{j+1,s}.
     """
-    d = derived_quantities(T)
     s, i, n = T.s, T.i, T.n
-    w = d.w
+    w = w_sequence(T.m, n)
     fac: dict[int, int] = {}
 
     def add(N, k):
         fac[N] = fac.get(N, 0) + k
 
     add(1, 1)
-    add(2 * d.n, -1)
+    add(2 * T.mt, -1)
     for j in range(1, i + 1):  # 1-based j <= i
-        add(2 * w[j - 1] * d.b(j, s), +1)
-        add(2 * w[j - 1] * d.b(j + 1, s), -1)
-    add(2 * w[i] * d.b(i + 1, s), +2)
-    add(2 * w[i] * d.b(i + 2, s), -1)
+        add(2 * w[j - 1] * _b(n, j, s), +1)
+        add(2 * w[j - 1] * _b(n, j + 1, s), -1)
+    add(2 * w[i] * _b(n, i + 1, s), +2)
+    add(2 * w[i] * _b(n, i + 2, s), -1)
     for j in range(i + 2, s + 1):
-        add(n[j - 1] * d.e[j], +2)
-        add(d.e[j], -2)
+        e = w[i] * _b(n, i + 1, s) * _b(n, i + 2, j - 1) + w[j - 1] * _b(n, j + 1, s)
+        add(n[j - 1] * e, +2)
+        add(e, -2)
     return FactorForm(fac)
 
 
@@ -391,147 +368,60 @@ def peel_sequence(v: CycloVector) -> PeelResult:
     return PeelResult(tuple(entries), len(entries), l)
 
 
-def _parse_peel(entries) -> tuple[int, int, tuple[int, ...], tuple[int, ...]] | None:
-    """Structural read-off of (s, i, m, n) from a peel sequence.
+def _read_peel(entries) -> tuple[int, int, list[int], list[int]]:
+    """Read (s, i, m, n) off the peel sequence of an encoded vector.
 
-    The factor indices of alexander_encode(T) are strictly ordered except
-    for two merges, both handled here: n_{i+1} = 1 collapsing the square
-    factor, and the full collapse for i=0, n_1 = m_1 = 1.  So the peel
-    sequence of an encoded vector is its reduced factor form, and this
-    read-off inverts the encoder.  Returns None whenever the sequence does
-    not match that form.
+    In descending order, the peel sequence of alexander_encode(T) is its
+    factor form: (n_j e_j, +2), (e_j, -2) for j = s .. i+2; the head,
+    (S, +2), (S/n_{i+1}, -1), or (S, +1) when n_{i+1} = 1, where
+    S = 2 w_{i+1} b_{i+1,s}; (U_j, +1), (L_j, -1) with U_j = 2 w_j b_{j,s}
+    and L_j = U_j / n_j for j = i .. 1; (2n, -1); (1, +1).  When i = 0 and
+    n_1 = m_1 = 1, all that follows the top pairs cancels to (1, +1).
+    Nothing here checks that form: alexander_decode re-encodes the result.
+    Indices strictly decrease along a peel sequence, so every ratio read
+    here is at least 1.
     """
     entries = list(entries)
-    top: list[tuple[int, int]] = []  # (n_j, e_j), j = s down to i+2
-    idx = 0
-    while (
-        idx + 1 < len(entries)
-        and entries[idx][1] == 2
-        and entries[idx + 1][1] == -2
-        and entries[idx][0] != entries[idx + 1][0]
-        and entries[idx][0] % entries[idx + 1][0] == 0
-    ):
-        top.append((entries[idx][0] // entries[idx + 1][0], entries[idx + 1][0]))
-        idx += 2
-    rest = entries[idx:]
-    k = len(top)  # s - i - 1
-    if not rest or rest[-1] != (1, 1):
-        return None
-
-    if rest == [(1, 1)]:
-        # spike and 2n entries fully cancelled: i = 0, n_1 = 1, m_1 = 1
-        if k == 0:
-            return None
-        n_ip1 = 1
-        i = 0
-        pair_entries: list[tuple[int, int]] = []
-        S = None  # implied, equals 2n
-        two_n = None
-    elif rest[0][1] == 2:
-        if len(rest) < 4 or rest[1][1] != -1 or rest[0][0] % rest[1][0] != 0:
-            return None
-        S = rest[0][0]
-        n_ip1 = rest[0][0] // rest[1][0]
-        if n_ip1 == 1:
-            return None
-        body = rest[2:]
-        if len(body) % 2 != 0 or body[-2][1] != -1:
-            return None
-        two_n = body[-2][0]
-        pair_entries = body[:-2]
-        i = len(pair_entries) // 2
-    elif rest[0][1] == 1 and len(rest) >= 3:
-        S = rest[0][0]
-        n_ip1 = 1
-        body = rest[1:]
-        if len(body) % 2 != 0 or body[-2][1] != -1:
-            return None
-        two_n = body[-2][0]
-        pair_entries = body[:-2]
-        i = len(pair_entries) // 2
+    top = []  # (n_j, e_j) for j = s down to i+2
+    while len(entries) >= 2 and entries[0][1] == 2 and entries[1][1] == -2:
+        (N, _), (e, _) = entries[:2]
+        top.append((N // e, e))
+        del entries[:2]
+    if entries == [(1, 1)]:  # i = 0 and w_1 = m_1 = n_1 = 1
+        S, n_head, lows = None, 1, []
     else:
-        return None
-
-    s = i + 1 + k
-    # n_j for 1-based j: pairs give j = i..1 descending, top gives j = s..i+2
-    n_list = [0] * s
-    n_list[i] = n_ip1
-    for idx2, (nj, _) in enumerate(top):
-        n_list[s - 1 - idx2] = nj
-    U: dict[int, int] = {}
-    L: dict[int, int] = {}
-    for p in range(i):
-        u_ent, l_ent = pair_entries[2 * p], pair_entries[2 * p + 1]
-        if u_ent[1] != 1 or l_ent[1] != -1:
-            return None
-        if u_ent[0] % l_ent[0] != 0 or u_ent[0] == l_ent[0]:
-            return None
-        j = i - p  # descending
-        U[j], L[j] = u_ent[0], l_ent[0]
-        n_list[j - 1] = u_ent[0] // l_ent[0]
-    if any(v == 0 for v in n_list):
-        return None
-    n_total = prod(n_list)
-    if two_n is not None and two_n != 2 * n_total:
-        return None
-    if S is None:
-        S = 2 * n_total
-
-    def b(j1, j2):
-        return prod(n_list[j1 - 1 : j2]) if j1 <= j2 else 1
-
-    w = [0] * s
-    denom = 2 * b(i + 1, s)
-    if S % denom != 0:
-        return None
-    w[i] = S // denom
-    for j in range(1, i + 1):
-        dd = 2 * b(j, s)
-        if U[j] % dd != 0:
-            return None
-        w[j - 1] = U[j] // dd
-        if L[j] != 2 * w[j - 1] * b(j + 1, s):
-            return None
-    for idx2, (nj, ej) in enumerate(top):
-        j = s - idx2  # 1-based
-        rem = ej - w[i] * b(i + 1, s) * b(i + 2, j - 1)
-        dd = b(j + 1, s)
-        if rem <= 0 or rem % dd != 0:
-            return None
-        w[j - 1] = rem // dd
-    m = [0] * s
-    m[0] = w[0]
-    for j in range(2, s + 1):
-        m[j - 1] = w[j - 1] - w[j - 2] * n_list[j - 2] * n_list[j - 1] + m[j - 2] * n_list[j - 1]
-        if m[j - 1] <= 0:
-            return None
-    return s, i, tuple(m), tuple(n_list)
+        width = 2 if entries and entries[0][1] == 2 else 1
+        if len(entries) < width + 2:
+            raise NotInImage("peel sequence too short for a conjugate pair")
+        S = entries[0][0]
+        n_head = S // entries[1][0] if width == 2 else 1
+        pairs = [d for d, _ in entries[width:-2]]
+        lows = list(zip(pairs[::2], pairs[1::2]))[::-1]  # (U_j, L_j), j = 1 .. i
+    i = len(lows)
+    s = i + 1 + len(top)
+    n = [U // L for U, L in lows] + [n_head] + [nj for nj, _ in reversed(top)]
+    w = [U // (2 * _b(n, j, s)) for j, (U, _) in enumerate(lows, 1)]
+    w.append(S // (2 * _b(n, i + 1, s)) if S else 1)
+    for j, (_, e) in enumerate(reversed(top), i + 2):
+        w.append((e - w[i] * _b(n, i + 1, s) * _b(n, i + 2, j - 1)) // _b(n, j + 1, s))
+    m = [w[0]]  # inverse of w_sequence
+    for j in range(1, s):
+        m.append(w[j] - w[j - 1] * n[j - 1] * n[j] + m[j - 1] * n[j])
+    return s, i, m, n
 
 
 def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
     """Invert the encoding by reading the type off the peel sequence.
 
-    Degree-1 vectors decode to NodeType.  The read-off recovers every
-    encoded type (see _parse_peel), so the encoding is injective and the
-    read-off is the whole decoder.  The result is verified by re-encoding;
-    NotInImage is raised when the read-off fails or does not reproduce v.
+    (t - 1) decodes to NodeType.  Otherwise the read-off recovers every
+    encoded type, and the encoding is injective, so v is in the image
+    exactly when what was read is a valid type that re-encodes to v;
+    NotInImage is raised otherwise.
     """
-    if not v.exps:
-        raise NotInImage("empty vector")
-    deg = v.degree()
-    if any(k < 0 for k in v.exps.values()):
-        raise NotInImage("negative cyclotomic exponents")
-    if deg == 1:
-        if v.exps == {1: 1}:
-            return NodeType()
-        raise NotInImage("degree-1 vector is not (t - 1)")
-    if deg % 2 == 0:
-        raise NotInImage("degree must be odd (2*delta - 1)")
-    parsed = _parse_peel(peel_sequence(v).entries)
-    if parsed is None:
-        raise NotInImage("peel sequence is not the factor form of a conjugate pair")
+    if v.exps == {1: 1}:
+        return NodeType()
     try:
-        T = ConjPairType(*parsed)
+        T = ConjPairType(*_read_peel(peel_sequence(v).entries))
     except InvalidConjPair as exc:
         raise NotInImage(f"read-off parameters are not a valid type: {exc}") from exc
     if to_cyclotomic(alexander_encode(T)) != v:

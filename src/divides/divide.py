@@ -286,15 +286,6 @@ class Divide:
         h = chain[0]
         return self.face_of[h], self.face_of[-h]
 
-    def one_cell_end_vertices(self, chain) -> set[int]:
-        vs = set()
-        v0 = self.origin(chain[0])
-        v1 = self.head(chain[-1])
-        for v in (v0, v1):
-            if len(self.rotations[v]) == 4:
-                vs.add(v)
-        return vs
-
 
 # --- validation ---------------------------------------------------------------
 

@@ -1,6 +1,3 @@
-import json
-import os
-
 import pytest
 
 from divides.ag import (
@@ -9,11 +6,8 @@ from divides.ag import (
     build_diagram,
     detect_chains,
     export_dot,
-    is_partition,
 )
-from divides.divide import Divide, divide_from_json, two_coloring
-from divides.families import family_one_puiseux_pair
-from divides.tracing import trace_divide
+from divides.divide import Divide, two_coloring
 
 from fixtures import (
     circle_divide,
@@ -83,30 +77,6 @@ class TestAdjacency:
             assert g.degree(v) == len(g.neighbors(v))
         assert (g.multiplicity(1, 0), g.multiplicity(2, 3), g.multiplicity(0, 2)) == (2, 1, 0)
         assert g.multi_edges() == [(0, 1)]
-
-
-class TestPartition:
-    def test_trivial_cases(self):
-        assert is_partition(node_divide())
-        assert is_partition(cusp_divide())
-        assert is_partition(circle_divide())
-        assert is_partition(figure_eight_divide())
-
-    def test_two_parabolas(self):
-        # single inner region: nothing to violate
-        assert is_partition(two_parabolas_divide())
-
-    def test_two_cusps_fixture(self):
-        path = os.path.join(os.path.dirname(__file__), "data", "two_cusps_divide.json")
-        with open(path) as fh:
-            d = divide_from_json(json.load(fh))
-        assert len(d.inner_faces) == 7
-        assert not is_partition(d)
-
-    def test_traced_one_puiseux_pair(self):
-        d = trace_divide(family_one_puiseux_pair(3, 4, 1), grid_n=512).divide
-        assert len(d.inner_faces) == 15
-        assert is_partition(d)
 
 
 class TestChains:

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divides.alexander import (
     ConjPairType,
@@ -17,7 +18,6 @@ from divides.alexander import (
     conj_pair_from_json,
     conj_pair_singularity,
     conj_pair_to_json,
-    derived_quantities,
     divisors,
     enumerate_conj_pair_types,
     expand,
@@ -78,33 +78,41 @@ class TestDerived:
         assert w_sequence((3, 7), (2, 2)) == [3, 13]
 
     def test_derived_on_conj_cusp(self):
-        d = derived_quantities(CONJ_CUSP)
-        assert d.n == 2
-        assert d.w == (1, 3)
-        assert d.e == {2: 5}
-
-    def test_b_products(self):
-        d = derived_quantities(ConjPairType(3, 0, (1, 3, 7), (1, 2, 2)))
-        assert d.b(1, 3) == 4
-        assert d.b(2, 2) == 2
-        assert d.b(3, 2) == 1  # empty product
+        assert w_sequence(CONJ_CUSP.m, CONJ_CUSP.n) == [1, 3]
+        # e_2 = 5 gives the top pair (n_2 e_2, +2), (e_2, -2); at i = 0 and
+        # n_1 = m_1 = 1 the head cancels the (t^{2n} - 1) factor
+        assert alexander_encode(CONJ_CUSP).factors == {1: 1, 5: -2, 10: 2}
 
     def test_ordering_inequalities_on_grid(self):
-        # the index orderings that make the peel sequence parseable
+        # the index orderings that make the peel sequence parseable, on the
+        # factors of the encoding formula, which must tally to the encoder's
         for T in SAMPLE_TYPES:
-            d = derived_quantities(T)
-            s, i, w = T.s, T.i, d.w
-            if i >= 1:
-                assert 2 * d.n < 2 * w[0] * d.b(2, s)
-                for j in range(1, i + 1):
-                    assert w[j - 1] * d.b(j + 1, s) < w[j - 1] * d.b(j, s)
-                    assert w[j - 1] * d.b(j, s) < w[j] * d.b(j + 2, s)
-            if i + 1 < s:
-                assert 2 * w[i] * d.b(i + 1, s) < d.e[i + 2]
-                for j in range(i + 2, s + 1):
-                    assert d.e[j] < T.n[j - 1] * d.e[j]
-                    if j < s:
-                        assert T.n[j - 1] * d.e[j] < d.e[j + 1]
+            s, i, n = T.s, T.i, T.n
+            w = w_sequence(T.m, n)
+
+            def b(j1, j2):
+                return prod(n[j1 - 1 : j2])
+
+            lows = [(2 * w[j - 1] * b(j + 1, s), 2 * w[j - 1] * b(j, s)) for j in range(1, i + 1)]
+            head = (2 * w[i] * b(i + 2, s), 2 * w[i] * b(i + 1, s))
+            e = {j: w[i] * b(i + 1, s) * b(i + 2, j - 1) + w[j - 1] * b(j + 1, s) for j in range(i + 2, s + 1)}
+            tops = [(e[j], n[j - 1] * e[j]) for j in e]
+            fac = Counter({1: 1, 2 * T.mt: -1})
+            for L, U in lows:
+                fac[L] -= 1
+                fac[U] += 1
+            fac[head[0]] -= 1
+            fac[head[1]] += 2
+            for E, N in tops:
+                fac[E] -= 2
+                fac[N] += 2
+            assert alexander_encode(T) == FactorForm(fac), T
+            if i >= 1:  # 2n < L_1 < U_1 < .. < L_i < U_i < L_{i+1}
+                chain = [2 * T.mt, *(x for low in lows for x in low), head[0]]
+                assert chain == sorted(set(chain)), T
+            if tops:  # S < e_{i+2} < n_{i+2} e_{i+2} < .. < e_s < n_s e_s
+                chain = [head[1], *(x for top in tops for x in top)]
+                assert chain == sorted(set(chain)), T
 
 
 class TestEncode:
@@ -142,6 +150,11 @@ class TestCyclotomic:
         assert CycloVector({1: 1}).degree() == 1
         assert CycloVector({1: 1, 4: 1}).degree() == 3
         assert CycloVector({}).degree() == 0
+
+    def test_index_below_one_rejected(self):
+        for cls in (FactorForm, CycloVector):
+            with pytest.raises(ValueError):
+                cls({0: 1})
 
     def test_totient_and_divisors(self):
         assert totient(1) == 1 and totient(4) == 2 and totient(12) == 4
@@ -243,14 +256,20 @@ class TestDecode:
         assert alexander_decode(to_cyclotomic(alexander_encode(T))) == T
 
     def test_roundtrip_merged_cases(self):
-        # the collapsed-spike family defeats the raw r/l read-off; the
-        # structural parser must still recover it
-        for T in [CONJ_CUSP, ConjPairType(2, 0, (1, 5), (1, 3)), ConjPairType(3, 0, (1, 3, 7), (1, 2, 2))]:
+        # the collapsed spike (i = 0, n_1 = m_1 = 1) and n_{i+1} = 1 with
+        # i >= 1 defeat the raw r/l read-off; the read-off must recover them
+        for T in [
+            CONJ_CUSP,
+            ConjPairType(2, 0, (1, 5), (1, 3)),
+            ConjPairType(3, 0, (1, 3, 7), (1, 2, 2)),
+            ConjPairType(4, 0, (1, 3, 7, 15), (1, 2, 2, 2)),
+            ConjPairType(2, 1, (3, 7), (2, 1)),
+            ConjPairType(3, 1, (3, 7, 15), (2, 1, 2)),
+        ]:
             assert alexander_decode(to_cyclotomic(alexander_encode(T))) == T
 
     def test_roundtrip_sample(self):
-        rng = random.Random(7)
-        for T in rng.sample(SAMPLE_TYPES, 120):
+        for T in SAMPLE_TYPES:
             got = alexander_decode(to_cyclotomic(alexander_encode(T)))
             if isinstance(got, NodeType):
                 assert T == NODE
@@ -295,6 +314,18 @@ def conj_pair_types(draw):
     return draw(st.sampled_from(SAMPLE_TYPES))
 
 
+@st.composite
+def near_image_vectors(draw):
+    """An encoding with one exponent changed by -2 .. 2."""
+    exps = dict(to_cyclotomic(alexander_encode(draw(conj_pair_types()))).exps)
+    d = draw(st.sampled_from(sorted(exps)) | st.integers(1, 60))
+    exps[d] = exps.get(d, 0) + draw(st.integers(-2, 2))
+    return CycloVector(exps)
+
+
+cyclo_vectors = st.dictionaries(st.integers(1, 60), st.integers(-2, 3), max_size=8).map(CycloVector)
+
+
 class TestProperties:
     @given(conj_pair_types())
     @settings(max_examples=150, deadline=None)
@@ -304,6 +335,24 @@ class TestProperties:
             assert T == NODE
         else:
             assert got == T
+
+    @given(cyclo_vectors | near_image_vectors())
+    @example(CycloVector({}))  # zero degree
+    @example(CycloVector({1: -1, 2: 1}))  # zero degree, negative exponent
+    @example(CycloVector({1: 1, 2: 1}))  # even degree
+    @example(CycloVector({1: 1, 3: -2, 6: 2}))  # negative exponent, odd degree
+    @settings(max_examples=400, deadline=None)
+    def test_decode_is_total(self, v):
+        # a type that re-encodes to v, NodeType for t - 1, or NotInImage:
+        # nothing else escapes
+        try:
+            got = alexander_decode(v)
+        except NotInImage:
+            return
+        if isinstance(got, NodeType):
+            assert v == CycloVector({1: 1})
+        else:
+            assert to_cyclotomic(alexander_encode(got)) == v
 
     @given(conj_pair_types())
     @settings(max_examples=100, deadline=None)
