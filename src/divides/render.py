@@ -1,6 +1,11 @@
 """Deterministic artifact writers for traced divides: SVG picture and CSV
-tables of strand polylines and node coordinates."""
+tables of strand polylines and node coordinates.
+
+Every number is written with 12 significant digits.  A polyline is
+formatted by one % operation over a repeated template."""
 from __future__ import annotations
+
+import numpy as np
 
 from .tracing import TracedDivide
 
@@ -27,8 +32,8 @@ def svg_divide(traced: TracedDivide, size: int = 640) -> str:
     for e in sorted(traced.strand_paths):
         path = traced.strand_paths[e]
         color = PALETTE[branch_of_edge[e] % len(PALETTE)]
-        us, vs = ((path[:, 0] + W) * scale).tolist(), ((W - path[:, 1]) * scale).tolist()
-        pts = " ".join(f"{u:.12g},{v:.12g}" for u, v in zip(us, vs))
+        uv = np.column_stack(((path[:, 0] + W) * scale, (W - path[:, 1]) * scale))
+        pts = " ".join(["%.12g,%.12g"] * len(path)) % tuple(uv.ravel().tolist())
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -45,8 +50,10 @@ def strands_csv(traced: TracedDivide) -> str:
     rows = ["branch,edge,point,x,y"]
     branch_of_edge = traced.divide.branch_of_edge
     for e in sorted(traced.strand_paths):
-        for idx, (x, y) in enumerate(traced.strand_paths[e].tolist()):
-            rows.append(f"{branch_of_edge[e]},{e},{idx},{x:.12g},{y:.12g}")
+        path = traced.strand_paths[e]
+        row = f"{branch_of_edge[e]},{e},%d,%.12g,%.12g"
+        cells = np.column_stack((np.arange(len(path)), path)).ravel().tolist()
+        rows.append("\n".join([row] * len(path)) % tuple(cells))
     return "\n".join(rows) + "\n"
 
 

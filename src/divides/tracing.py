@@ -7,9 +7,16 @@ node with the rotation read from the cut-end angles, then assemble
 branches, boundary order, and the planar map.
 
 Nodes are found by Newton's method on grad F, run from all seeds at once
-as arrays, one gradient and one Hessian evaluation per step.  A saddle
-counts as a node only when |F|/scale <= LEVEL_TOL; its crossing angle
-comes from the Hessian in closed form.
+as arrays, one gradient and one Hessian evaluation per step.  The seeds
+are the local minima of |grad F|^2 on a grid of SEED_CELLS cells a side,
+or on the contour grid where that is coarser, and the centres of the
+contour grid's cells with four crossings: a retry's finer grid refines the
+contour, not the seeds.  512 cells is the floor.  On five handpicked
+families at grids 512, 1024 and 2048 and sixty random draws at 512,
+512-cell seeds lead Newton to every critical point in the window that
+contour-grid seeds do, while 256-cell seeds missed 8 in 5 of the draws.
+A saddle counts as a node only when |F|/scale <= LEVEL_TOL; its crossing
+angle comes from the Hessian in closed form.
 
 The contour is held as integer point ids, one per grid edge whose ends
 differ in sign: h-edge ((i, j) to (i+1, j)) crossings first, then v-edge
@@ -43,6 +50,7 @@ from .families import FamilySpec
 
 LEVEL_TOL = 1e-9
 ANGLE_TOL = 1e-3
+SEED_CELLS = 512  # cells a side of the seed grid at most; see the module docstring
 
 
 class TraceError(RuntimeError):
@@ -133,11 +141,11 @@ def _nonzero(mask):
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def _seeds(gradient, xs, ys, hx, vy):
-    """Newton seeds: the interior grid points where |grad F|^2 is no larger
-    than the least of its 3x3 block (found separably, in the gradient
-    buffers), and the centres of the cells with four crossings.  A function
-    of its own so that the gradient grids are freed before the contour."""
+def _seeds(gradient, xs, ys):
+    """The interior points of the grid (xs, ys) where |grad F|^2 is no larger
+    than the least of its 3x3 block, found separably in the gradient
+    buffers.  A function of its own so that those grids are freed before
+    the contour."""
     gx, gy = gradient(xs[:, None], ys)
     g = np.square(gx, out=gx)
     g += np.square(gy, out=gy)
@@ -146,9 +154,7 @@ def _seeds(gradient, xs, ys, hx, vy):
     block = np.minimum(least[:-2], least[1:-1])
     np.minimum(block, least[2:], out=block)
     mi, mj = _nonzero(g[1:-1, 1:-1] <= block)
-    ai, aj = _nonzero(hx[:, :-1] & hx[:, 1:] & vy[:-1, :] & vy[1:, :])
-    return (np.concatenate([xs[mi + 1], 0.5 * (xs[ai] + xs[ai + 1])]),
-            np.concatenate([ys[mj + 1], 0.5 * (ys[aj] + ys[aj + 1])]))
+    return xs[mi + 1], ys[mj + 1]
 
 
 def trace_divide(family: FamilySpec, t: float | None = None, window: float | None = None,
@@ -169,17 +175,27 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     f, gradient, hessian = family.evaluators(t)
     xs = ys = np.linspace(-W, W, grid_n + 1)
     F = f(xs[:, None], ys)
-    if not np.isfinite(F).all():
+    low, high = F.min(), F.max()  # NaN if F holds one
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise TraceError("evaluation", "family evaluation produced non-finite values")
-    f_scale = float(np.max(np.abs(F)))
+    f_scale = float(max(-low, high))
     if f_scale == 0:
         raise TraceError("evaluation", "family vanishes identically on the grid")
     S = F >= 0
     hx = S[:-1, :] != S[1:, :]  # horizontal edges
     vy = S[:, :-1] != S[:, 1:]  # vertical edges
     cell = 2 * W / grid_n
+    # cells with a crossing, their bottom, right, top and left edge flags,
+    # and the centres of the cells with four
+    ci, cj = _nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
+    flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
+    four = flags.all(axis=1)
+    i4, j4 = ci[four], cj[four]
+    mx, my = 0.5 * (xs[i4] + xs[i4 + 1]), 0.5 * (ys[j4] + ys[j4 + 1])
 
-    infos = _nodes(f, gradient, hessian, _seeds(gradient, xs, ys, hx, vy), W, f_scale)
+    ss = np.linspace(-W, W, min(grid_n, SEED_CELLS) + 1)
+    sx, sy = _seeds(gradient, ss, ss)
+    infos = _nodes(f, gradient, hessian, (np.concatenate([sx, mx]), np.concatenate([sy, my])), W, f_scale)
     infos.sort(key=lambda nd: (round(nd.x / (1e-9 * W)), round(nd.y / (1e-9 * W))))
     for nd in infos:
         if nd.tangent_gap < ANGLE_TOL:
@@ -227,10 +243,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     xy[nh:, 1] = ys[vj] + v1 / (v1 - F[vi, vj + 1]) * cell
     px, py = xy.T
 
-    # cells with a crossing, their bottom, right, top and left edge flags, and
-    # the point ids on those edges, looked up in the sorted linear edge indices
-    ci, cj = _nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
-    flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
+    # the point ids on the crossing cells' edges, looked up in the sorted
+    # linear edge indices
     hlin, vlin = hi * (grid_n + 1) + hj, vi * grid_n + vj
     ids = np.stack([np.searchsorted(hlin, ci * (grid_n + 1) + cj),
                     nh + np.searchsorted(vlin, (ci + 1) * grid_n + cj),
@@ -243,9 +257,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     # corners B and D when the centre joins A's region
     rows = np.arange(ci.size)
     seg = np.stack([ids[rows, flags.argmax(axis=1)], ids[rows, 3 - flags[:, ::-1].argmax(axis=1)]], axis=1)
-    four = flags.all(axis=1)
-    i4, j4 = ci[four], cj[four]
-    centre = f(0.5 * (xs[i4] + xs[i4 + 1]), 0.5 * (ys[j4] + ys[j4 + 1]))
+    centre = f(mx, my)
     joins_a = (centre >= 0) == S[i4, j4]
     _, right, top, left = ids[four].T
     seg[four, 1] = np.where(joins_a, right, left)

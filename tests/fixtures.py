@@ -1,8 +1,31 @@
-"""Hand-encoded divides used across the test suite.
+"""Hand-encoded divides used across the test suite, and the benchmark's
+fixed family set.
 
 Rotation systems are counterclockwise; edge e runs tail -> head as +e.
 """
 from divides.divide import Divide
+from divides.families import (
+    family_ellipse_composition,
+    family_one_puiseux_pair,
+    family_parabola_pair,
+    family_semiquasi_pp,
+    family_smooth_conjugate,
+)
+
+
+def ellipse_composition():
+    parts = [family_smooth_conjugate([{2: 1}], (0, 1)), family_smooth_conjugate([{2: -1}], (1, 1))]
+    return family_ellipse_composition(parts, [1.0, 1.6])
+
+
+# the benchmark's fixed family set
+HANDPICKED = {
+    "parabola-pair-3": lambda: family_parabola_pair(3),
+    "smooth-conjugate": lambda: family_smooth_conjugate([{2: 1}, {2: -1}]),
+    "one-pair-3-4": lambda: family_one_puiseux_pair(3, 4, 1),
+    "ellipse-composition": ellipse_composition,
+    "semiquasi": lambda: family_semiquasi_pp([(1, 0), (0, 1)], [(1, 0, 2), (2, 0, 1)], [1, 1]),
+}
 
 
 def circle_divide():

@@ -9,7 +9,8 @@ the deformation families as exact sympy expressions, multiplied out
 symbolically, for the numeric coefficient matrices.  Two numeric
 references keep the tracer's array kernels honest: the evaluator as one
 einsum per partial, and the local minima of a grid by eight neighbour
-comparisons.
+comparisons.  The strand artifacts are written again one point and one
+f-string at a time.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import sympy
 
 from divides.alexander import ConjPairType, CycloVector, InvalidConjPair, alexander_encode, to_cyclotomic
 from divides.families import radial_profile_levels
+from divides.render import PALETTE, fmt
 
 X, Y, T = sympy.symbols("x y t", real=True)
 
@@ -420,3 +422,38 @@ def local_minima(g) -> tuple[np.ndarray, np.ndarray]:
             if di or dj:
                 mins &= interior <= g[1 + di : n + di, 1 + dj : g.shape[1] - 1 + dj]
     return np.nonzero(mins)
+
+
+def svg_divide(traced, size: int = 640) -> str:
+    """render.svg_divide with one f-string per polyline point."""
+    W = traced.meta.window
+    scale = size / (2 * W)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect x="0" y="0" width="{size}" height="{size}" fill="white" stroke="black" stroke-width="1"/>',
+    ]
+    branch_of_edge = traced.divide.branch_of_edge
+    for e in sorted(traced.strand_paths):
+        path = traced.strand_paths[e]
+        color = PALETTE[branch_of_edge[e] % len(PALETTE)]
+        us, vs = ((path[:, 0] + W) * scale).tolist(), ((W - path[:, 1]) * scale).tolist()
+        pts = " ".join(f"{u:.12g},{v:.12g}" for u, v in zip(us, vs))
+        lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+    for k, nd in enumerate(traced.nodes):
+        lines.append(
+            f'<circle cx="{fmt((nd.x + W) * scale)}" cy="{fmt((W - nd.y) * scale)}" r="3" fill="black">'
+            f'<title>node {k}</title></circle>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def strands_csv(traced) -> str:
+    """render.strands_csv with one f-string per polyline point."""
+    rows = ["branch,edge,point,x,y"]
+    branch_of_edge = traced.divide.branch_of_edge
+    for e in sorted(traced.strand_paths):
+        for idx, (x, y) in enumerate(traced.strand_paths[e].tolist()):
+            rows.append(f"{branch_of_edge[e]},{e},{idx},{x:.12g},{y:.12g}")
+    return "\n".join(rows) + "\n"

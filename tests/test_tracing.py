@@ -13,7 +13,6 @@ from divides.ag import build_diagram
 from divides.divide import check_against_type, divide_from_json, divide_to_json, validate
 from divides.families import (
     FamilySpec,
-    family_ellipse_composition,
     family_from_expression,
     family_one_puiseux_pair,
     family_parabola_pair,
@@ -23,6 +22,7 @@ from divides.families import (
 from divides.singularity import BranchType, SingularityType, invariants_report
 from divides.tracing import TraceError, _nonzero, _seeds, trace_divide, trace_with_retries
 
+from fixtures import HANDPICKED, ellipse_composition
 from oracles import einsum_evaluators, local_minima
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -65,21 +65,6 @@ def assert_certified(family, traced):
     assert census_passes(d, family.singularity)
     assert len(d.inner_faces) == inv["expected_inner_regions"]
     assert len(build_diagram(d).vertices) == inv["milnor"]
-
-
-def ellipse_composition():
-    parts = [family_smooth_conjugate([{2: 1}], (0, 1)), family_smooth_conjugate([{2: -1}], (1, 1))]
-    return family_ellipse_composition(parts, [1.0, 1.6])
-
-
-# the benchmark's fixed family set
-HANDPICKED = {
-    "parabola-pair-3": lambda: family_parabola_pair(3),
-    "smooth-conjugate": lambda: family_smooth_conjugate([{2: 1}, {2: -1}]),
-    "one-pair-3-4": lambda: family_one_puiseux_pair(3, 4, 1),
-    "ellipse-composition": ellipse_composition,
-    "semiquasi": lambda: family_semiquasi_pp([(1, 0), (0, 1)], [(1, 0, 2), (2, 0, 1)], [1, 1]),
-}
 
 
 @pytest.mark.parametrize(
@@ -129,23 +114,26 @@ def test_nodes_at_exact_crossings():
     ]
 
 
+def patch_evaluators(monkeypatch, wrap):
+    """Pass every family's compiled (value, gradient, hessian) through wrap."""
+    compile_evaluators = FamilySpec.evaluators
+    monkeypatch.setattr(FamilySpec, "evaluators", lambda self, t: wrap(*compile_evaluators(self, t)))
+
+
 def test_newton_stops_at_the_noise_floor(monkeypatch):
     """Seeds stop once their step stalls at the rounding noise, well before
     the 60-step backstop; the Hessian is evaluated once per Newton step and
     once more at the refined points."""
     calls = []
-    compile_evaluators = FamilySpec.evaluators
 
-    def counting(self, t):
-        value, gradient, hessian = compile_evaluators(self, t)
-
+    def counting(value, gradient, hessian):
         def counted_hessian(x, y):
             calls.append(np.size(x))
             return hessian(x, y)
 
         return value, gradient, counted_hessian
 
-    monkeypatch.setattr(FamilySpec, "evaluators", counting)
+    patch_evaluators(monkeypatch, counting)
     traced = trace_divide(family_one_puiseux_pair(3, 4, 1), grid_n=512)
     assert len(calls) - 1 <= 25
     assert traced.crossing_count == 14
@@ -170,12 +158,6 @@ def test_evaluators_match_the_einsum_reference(name):
             assert np.array_equal(a, b)
 
 
-def minima_seeds(gradient, xs, ys):
-    """The seed stage's local minima of |grad F|^2, with no four-crossing
-    cell to add."""
-    return _seeds(gradient, xs, ys, np.zeros((xs.size - 1, ys.size), bool), np.zeros((xs.size, ys.size - 1), bool))
-
-
 @pytest.mark.parametrize("name", sorted(HANDPICKED))
 def test_seed_minima_match_eight_comparisons(name):
     fam = HANDPICKED[name]()
@@ -185,7 +167,7 @@ def test_seed_minima_match_eight_comparisons(name):
     xs = np.linspace(-W, W, 513)
     gx, gy = gradient(xs[:, None], xs)
     mi, mj = local_minima(np.square(gx) + np.square(gy))
-    sx, sy = minima_seeds(gradient, xs, xs)
+    sx, sy = _seeds(gradient, xs, xs)
     assert mi.size > 0
     assert (sx.tolist(), sy.tolist()) == (xs[mi + 1].tolist(), xs[mj + 1].tolist())
 
@@ -201,8 +183,7 @@ def test_seed_minima_on_plateaus(seed):
     if seed >= 3:
         G[rng.random(shape) < 0.03] = np.nan
     mi, mj = local_minima(np.square(G))
-    sx, sy = minima_seeds(lambda x, y: (G.copy(), np.zeros(shape)), np.arange(shape[0]) * 1.0,
-                          np.arange(shape[1]) * 1.0)
+    sx, sy = _seeds(lambda x, y: (G.copy(), np.zeros(shape)), np.arange(shape[0]) * 1.0, np.arange(shape[1]) * 1.0)
     assert (sx.tolist(), sy.tolist()) == ((mi + 1).tolist(), (mj + 1).tolist())
     for mask in (G > 0, np.isnan(G), (G == 0)[:, ::2], np.zeros(shape, bool)):
         flat, full = _nonzero(mask), np.nonzero(mask)
@@ -220,7 +201,7 @@ def test_node_stage_matches_the_golden_coordinates(name, monkeypatch):
     stage is watched directly because later stages may still refuse the
     picture, as at the composition's first attempt."""
     golden = GOLDEN_NODES[name]
-    fam = HANDPICKED[name.removesuffix("-half-t")]()
+    fam = HANDPICKED[name.removesuffix("-half-t").removesuffix("-quarter-t")]()
     found = []
     node_stage = tracing._nodes
     monkeypatch.setattr(tracing, "_nodes", lambda *args: found.append(node_stage(*args)) or found[-1])
@@ -235,6 +216,47 @@ def test_node_stage_matches_the_golden_coordinates(name, monkeypatch):
     assert got.shape == want.shape
     apart = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
     assert (apart.min(axis=0) <= 1e-12 * W).all() and (apart.min(axis=1) <= 1e-12 * W).all()
+
+
+@pytest.mark.parametrize("halvings, grid_n", [(1, 1024), (2, 2048)])
+def test_retry_grids_seed_from_512_cells(halvings, grid_n, monkeypatch):
+    """A retry's finer grid serves the contour; the seed stage's one
+    gradient grid keeps 513 x 513 points, and no other gradient call is
+    larger."""
+    shapes = []
+
+    def watching(value, gradient, hessian):
+        def watched_gradient(x, y):
+            shapes.append(np.broadcast(x, y).shape)
+            return gradient(x, y)
+
+        return value, watched_gradient, hessian
+
+    patch_evaluators(monkeypatch, watching)
+    fam = family_one_puiseux_pair(3, 4, 1)
+    trace_divide(fam, t=fam.t_default / 2**halvings, grid_n=grid_n)
+    assert [shape for shape in shapes if len(shape) == 2] == [(513, 513)]
+    assert max(map(math.prod, shapes)) == 513 * 513
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_grid_fails_evaluation(bad, monkeypatch):
+    """One non-finite value of F anywhere on the grid refuses the attempt."""
+
+    def planting(value, gradient, hessian):
+        def planted_value(x, y):
+            v = value(x, y)
+            if np.ndim(v) == 2:
+                v[200, 300] = bad
+            return v
+
+        return planted_value, gradient, hessian
+
+    patch_evaluators(monkeypatch, planting)
+    with pytest.raises(TraceError) as exc:
+        trace_divide(family_parabola_pair(3), grid_n=512)
+    assert exc.value.reason == "evaluation"
+    assert str(exc.value) == "family evaluation produced non-finite values"
 
 
 @pytest.mark.parametrize(
