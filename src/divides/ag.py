@@ -1,10 +1,11 @@
 """3-colored diagrams of divides: crossings and inner regions as vertices.
 
 Crossings become 0-colored vertices, inner regions carry the sign of the
-checkerboard coloring.  Two regions are joined by one edge per inner curve
-arc on their common boundary; a region and a crossing are joined by one
-edge per corner of the region at the crossing.  Multi-edges are kept,
-loops cannot occur.
+checkerboard coloring.  Two regions are joined by one edge per curve arc
+on their common boundary, an arc running from crossing to crossing
+through any 2-valent markers (a crossing-free loop is one arc); a region
+and a crossing are joined by one edge per corner of the region at the
+crossing.  Multi-edges are kept, loops cannot occur.
 """
 from __future__ import annotations
 
@@ -51,14 +52,8 @@ class AGDiagram:
     def neighbors(self, vid: int) -> list[int]:
         return list(self._adjacency[vid])
 
-    def vertex(self, vid: int) -> AGVertex:
-        return self.vertices[vid]
-
     def multiplicity(self, u: int, v: int) -> int:
         return self._edge_count[min(u, v), max(u, v)]
-
-    def multi_edges(self) -> list[tuple[int, int]]:
-        return [e for e, k in sorted(self._edge_count.items()) if k > 1]
 
 
 def build_diagram(d: Divide, col: FaceColoring | None = None) -> AGDiagram:
@@ -75,16 +70,18 @@ def build_diagram(d: Divide, col: FaceColoring | None = None) -> AGDiagram:
     vertices += [AGVertex(vid_of_face[f], col.color[f], "region", f) for f in inner]
     edges: list[tuple[int, int]] = []
 
-    # region-region: one edge per inner one-cell on the common boundary
-    for chain, is_inner in d.one_cells:
-        if not is_inner:
-            continue
-        f1, f2 = d.one_cell_sides(chain)
-        if f1 == f2:
-            continue
-        if f1 in vid_of_face and f2 in vid_of_face:
-            u, v = vid_of_face[f1], vid_of_face[f2]
-            edges.append((min(u, v), max(u, v)))
+    # region-region: one edge per curve arc between two inner regions.  An
+    # arc starts at each walk half-edge leaving a crossing or an endpoint
+    # and runs through markers, which keep its two sides; a crossing-free
+    # loop is one arc.  An arc at an endpoint has a rim face on both sides,
+    # so it adds none
+    for br in d.branches:
+        starts = [h for h in br.walk if len(d.rotations[d.origin(h)]) != 2] or br.walk[:1]
+        for h in starts:
+            f1, f2 = d.face_of[h], d.face_of[-h]
+            if f1 != f2 and f1 in vid_of_face and f2 in vid_of_face:
+                u, v = vid_of_face[f1], vid_of_face[f2]
+                edges.append((min(u, v), max(u, v)))
 
     # region-crossing: one edge per corner of the region at the crossing
     for f in inner:

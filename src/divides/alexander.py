@@ -36,10 +36,6 @@ class AmbiguousDecode(ValueError):
     fail with AttributeError."""
 
 
-class ExpansionError(ValueError):
-    """Vector is not a polynomial or exceeds the expansion degree cap."""
-
-
 @lru_cache(maxsize=None)
 def _factorize(N: int) -> tuple[tuple[int, int], ...]:
     out = []
@@ -259,16 +255,6 @@ def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _polymul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     num = list(num)
     dn = len(den) - 1
@@ -283,21 +269,6 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
             for j, dj in enumerate(den):
                 num[k + j] -= q * dj
     assert all(c == 0 for c in num), "non-zero remainder"
-    return out
-
-
-def expand(v: CycloVector, degree_cap: int = 512) -> list[int]:
-    """Integer coefficients (lowest degree first) of the product of
-    cyclotomic polynomials. Requires all exponents >= 0."""
-    if any(k < 0 for k in v.exps.values()):
-        raise ExpansionError("negative cyclotomic exponent: not a polynomial")
-    if v.degree() > degree_cap:
-        raise ExpansionError(f"degree {v.degree()} exceeds cap {degree_cap}")
-    out = [1]
-    for d, k in v.exps.items():
-        base = list(_cyclotomic_coeffs(d))
-        for _ in range(k):
-            out = _polymul(out, base)
     return out
 
 
@@ -338,15 +309,9 @@ def alexander_encode(T: ConjPairType) -> FactorForm:
 # --- peel decomposition and decoding ----------------------------------------
 
 
-@dataclass(frozen=True)
-class PeelResult:
-    entries: tuple[tuple[int, int], ...]  # (d_k, eps_k), d_k strictly decreasing
-    r: int  # number of peels
-    l: int  # even eps count in the maximal initial run of even values
-
-
-def peel_sequence(v: CycloVector) -> PeelResult:
-    """Repeatedly strip (t^d - 1)^eps at the maximal cyclotomic index."""
+def peel_sequence(v: CycloVector) -> tuple[tuple[int, int], ...]:
+    """Repeatedly strip (t^d - 1)^eps at the maximal cyclotomic index; the
+    (d, eps) entries, d strictly decreasing."""
     exps = dict(v.exps)
     entries: list[tuple[int, int]] = []
     while exps:
@@ -359,13 +324,7 @@ def peel_sequence(v: CycloVector) -> PeelResult:
             else:
                 exps.pop(q, None)
         entries.append((d, eps))
-    l = 0
-    for _, eps in entries:
-        if eps % 2 == 0:
-            l += 1
-        else:
-            break
-    return PeelResult(tuple(entries), len(entries), l)
+    return tuple(entries)
 
 
 def _read_peel(entries) -> tuple[int, int, list[int], list[int]]:
@@ -421,7 +380,7 @@ def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
     if v.exps == {1: 1}:
         return NodeType()
     try:
-        T = ConjPairType(*_read_peel(peel_sequence(v).entries))
+        T = ConjPairType(*_read_peel(peel_sequence(v)))
     except InvalidConjPair as exc:
         raise NotInImage(f"read-off parameters are not a valid type: {exc}") from exc
     if to_cyclotomic(alexander_encode(T)) != v:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .singularity import (
     SingularityType,
@@ -245,47 +246,6 @@ class Divide:
             return [fid for fid in range(len(self.faces)) if fid != self.outside_face]
         return list(range(len(self.faces)))
 
-    # -- one-cells ------------------------------------------------------------
-
-    @cached_property
-    def one_cells(self) -> tuple[tuple[tuple[int, ...], bool], ...]:
-        """Maximal curve arcs between crossings/endpoints, as (edge chain,
-        inner) pairs; marker vertices are interior to their chain.  A
-        crossing-free closed branch forms a single circular cell."""
-        cells = []
-        for br in self.branches:
-            cuts = []  # walk indices whose origin vertex is a cut point
-            for idx, h in enumerate(br.walk):
-                v = self.origin(h)
-                if len(self.rotations[v]) != 2:
-                    cuts.append(idx)
-            if not br.closed:
-                # both endpoints are cuts; walk start is always a cut
-                chain_bounds = cuts + [len(br.walk)]
-                for a, b in zip(chain_bounds, chain_bounds[1:]):
-                    chain = br.walk[a:b]
-                    inner = not (
-                        len(self.rotations[self.origin(chain[0])]) == 1
-                        or len(self.rotations[self.head(chain[-1])]) == 1
-                    )
-                    cells.append((tuple(chain), inner))
-            else:
-                if not cuts:
-                    cells.append((tuple(br.walk), True))
-                    continue
-                for ci, a in enumerate(cuts):
-                    b = cuts[(ci + 1) % len(cuts)]
-                    if b > a:
-                        chain = br.walk[a:b]
-                    else:
-                        chain = br.walk[a:] + br.walk[:b]
-                    cells.append((tuple(chain), True))
-        return tuple(cells)
-
-    def one_cell_sides(self, chain) -> tuple[int, int]:
-        h = chain[0]
-        return self.face_of[h], self.face_of[-h]
-
 
 # --- validation ---------------------------------------------------------------
 
@@ -397,11 +357,9 @@ def _count_components(nodes, links) -> int:
 @dataclass(frozen=True)
 class FaceColoring:
     color: dict[int, int]          # disc face id -> +1/-1
-    inner: dict[int, bool]         # disc face id -> is inner
-    outside_face: int
 
     def flip(self) -> "FaceColoring":
-        return FaceColoring({f: -c for f, c in self.color.items()}, self.inner, self.outside_face)
+        return FaceColoring({f: -c for f, c in self.color.items()})
 
 
 def two_coloring(d: Divide) -> FaceColoring:
@@ -414,10 +372,7 @@ def two_coloring(d: Divide) -> FaceColoring:
     problems = validate(d)
     if problems:
         raise DivideError(f"cannot color an invalid divide: {problems[0].detail}")
-    outside = d.outside_face
-    regions = d.disc_faces()
-    inner = set(d.inner_faces)
-    adj: dict[int, set[int]] = {f: set() for f in regions}
+    adj: dict[int, set[int]] = {f: set() for f in d.disc_faces()}
     for e in range(1, d.n_edges + 1):
         f1, f2 = d.face_of[e], d.face_of[-e]
         if f1 in adj and f2 in adj and f1 != f2:
@@ -426,7 +381,7 @@ def two_coloring(d: Divide) -> FaceColoring:
     if d.boundary:
         anchor, anchor_color = d.face_of[d.arc_ids[0]], 1
     else:
-        anchor, anchor_color = outside, -1
+        anchor, anchor_color = d.outside_face, -1
     color = {anchor: anchor_color}
     queue = [anchor]
     while queue:
@@ -439,7 +394,7 @@ def two_coloring(d: Divide) -> FaceColoring:
                 raise DivideError("complementary regions are not 2-colorable")
     if set(color) != set(adj):
         raise DivideError("region adjacency graph is disconnected; coloring not unique")
-    return FaceColoring(color, {f: f in inner for f in regions}, outside)
+    return FaceColoring(color)
 
 
 # --- body ---------------------------------------------------------------------
@@ -562,33 +517,20 @@ def check_against_type(d: Divide, s: SingularityType, assignment: dict) -> Check
     if errors:
         return CheckReport((), tuple(errors))
 
+    # a branch's slots: one for a real branch, two for a conjugate pair
+    slots = [[k] if kind == "real" else s.pair_slots(k) for kind, k in map(assignment.get, range(nb))]
+    I = s.intersections
     M = crossing_matrix(d)
     total = sum(M[i][j] for i in range(nb) for j in range(i, nb))
     items.append(CheckItem("total crossings", expected_node_count(s), total))
-
-    for bid in range(nb):
-        kind, k = assignment[bid]
-        if kind == "real":
-            expect = branch_delta(s.real_branches[k])
-        else:
-            q, qb = s.pair_slots(k)
-            expect = 2 * branch_delta(s.conj_pairs[k]) + s.intersections[q][qb] - 1
+    for bid, own in enumerate(slots):
+        # the delta of the branch's slots, less one for a pair (nodes = delta - ImBr)
+        expect = sum(branch_delta(s.slot_branch(a)) for a in own)
+        expect += sum(I[a][c] for a, c in combinations(own, 2)) - (len(own) - 1)
         items.append(CheckItem(f"self-crossings branch {bid}", expect, M[bid][bid]))
-
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            ki, kj = assignment[i], assignment[j]
-            if ki[0] == "real" and kj[0] == "real":
-                expect = s.intersections[ki[1]][kj[1]]
-            elif ki[0] == "real" and kj[0] == "pair":
-                expect = 2 * s.intersections[ki[1]][s.pair_slots(kj[1])[0]]
-            elif ki[0] == "pair" and kj[0] == "real":
-                expect = 2 * s.intersections[kj[1]][s.pair_slots(ki[1])[0]]
-            else:
-                qi, _ = s.pair_slots(ki[1])
-                qj, qjb = s.pair_slots(kj[1])
-                expect = 2 * s.intersections[qi][qj] + 2 * s.intersections[qi][qjb]
-            items.append(CheckItem(f"crossings branches {i}x{j}", expect, M[i][j]))
+    for i, j in combinations(range(nb), 2):
+        expect = sum(I[a][c] for a in slots[i] for c in slots[j])
+        items.append(CheckItem(f"crossings branches {i}x{j}", expect, M[i][j]))
 
     items.append(CheckItem("inner regions", expected_inner_regions(s), len(d.inner_faces)))
     return CheckReport(tuple(items), ())

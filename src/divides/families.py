@@ -417,7 +417,7 @@ def family_semiquasi_pp(
     if any(bi <= 0 for bi in bs):
         raise FamilyError("levels b_i must be positive")
 
-    pts = _conic_pair_points(quads, bs)
+    _conic_pair_points(quads, bs)
 
     ell = len(lines)
     k = len(quads)

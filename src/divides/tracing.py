@@ -169,9 +169,11 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     if grid_n < 64:
         raise TraceError("parameters", "grid_n must be at least 64")
     t = family.t_default if t is None else float(t)
-    if t <= 0:
-        raise TraceError("parameters", "t must be positive")
+    if not 0 < t < math.inf:
+        raise TraceError("parameters", "t must be positive and finite")
     W = family.window(t) if window is None else float(window)
+    if not 0 < W < math.inf:
+        raise TraceError("parameters", "window must be positive and finite")
     f, gradient, hessian = family.evaluators(t)
     xs = ys = np.linspace(-W, W, grid_n + 1)
     F = f(xs[:, None], ys)
@@ -420,6 +422,8 @@ def _assemble(infos, strand_ends, edge_paths) -> Divide:
 def trace_with_retries(family: FamilySpec, t: float | None = None, grid_n: int = 512,
                        window: float | None = None, retries: int = 3) -> TracedDivide:
     """Monotone retry protocol: halve t and double the grid on failure."""
+    if retries < 0:
+        raise TraceError("parameters", "retries must be at least 0")
     t = family.t_default if t is None else float(t)
     last_exc: Exception | None = None
     for _ in range(retries + 1):

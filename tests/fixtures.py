@@ -3,7 +3,10 @@ fixed family set.
 
 Rotation systems are counterclockwise; edge e runs tail -> head as +e.
 """
-from divides.divide import Divide
+import json
+import os
+
+from divides.divide import Divide, divide_from_json
 from divides.families import (
     family_ellipse_composition,
     family_one_puiseux_pair,
@@ -97,6 +100,18 @@ def two_parabolas_divide():
     )
 
 
+def two_cusps_divide():
+    """A traced morsification of two ordinary cusps meeting with
+    intersection 6: 8 crossings, 7 inner regions."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "two_cusps_divide.json")) as fh:
+        return divide_from_json(json.load(fh))
+
+
+def segment_divide():
+    """One crossing-free segment across the disc: no crossing, no inner region."""
+    return Divide([(False, [1])], {0: [1], 1: [-1]}, [0, 1])
+
+
 def disjoint_circles_divide():
     """Two crossing-free closed curves: violates the pairwise-crossing rule."""
     return Divide(
@@ -105,3 +120,18 @@ def disjoint_circles_divide():
         boundary=[],
         outer_face=-1,
     )
+
+
+def split_edge(d: Divide, e: int) -> Divide:
+    """d with a 2-valent marker in the middle of edge e: e now ends at the
+    marker and a new last edge runs on from it to e's old head."""
+    n, m = d.n_edges + 1, max(d.rotations) + 1
+    rotations = {v: [-n if h == -e else h for h in rot] for v, rot in d.rotations.items()}
+    rotations[m] = [-e, n]
+    branches = []
+    for br in d.branches:
+        walk = []
+        for h in br.walk:
+            walk += [e, n] if h == e else [-n, -e] if h == -e else [h]
+        branches.append((br.closed, walk))
+    return Divide(branches, rotations, d.boundary, d.outer_face)

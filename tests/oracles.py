@@ -10,7 +10,8 @@ symbolically, for the numeric coefficient matrices.  Two numeric
 references keep the tracer's array kernels honest: the evaluator as one
 einsum per partial, and the local minima of a grid by eight neighbour
 comparisons.  The strand artifacts are written again one point and one
-f-string at a time.
+f-string at a time.  The AG diagram's region-region edges are found again
+from the divide's one-cells, its walks cut into edge chains.
 """
 from __future__ import annotations
 
@@ -457,3 +458,30 @@ def strands_csv(traced) -> str:
         for idx, (x, y) in enumerate(traced.strand_paths[e].tolist()):
             rows.append(f"{branch_of_edge[e]},{e},{idx},{x:.12g},{y:.12g}")
     return "\n".join(rows) + "\n"
+
+
+def one_cell_region_edges(d) -> list[tuple[int, int]]:
+    """Region-region edges of ag.build_diagram, with its vertex ids, by
+    one-cells: each walk is cut into edge chains at its crossings and
+    endpoints, a marker staying inside its chain and a crossing-free closed
+    branch being one chain.  A chain that touches an endpoint is not inner;
+    an inner chain joins the faces on its two sides when they differ and
+    both are inner regions."""
+    vid = {f: len(d.crossings) + k for k, f in enumerate(d.inner_faces)}
+    edges = []
+    for br in d.branches:
+        walk = br.walk
+        cuts = [idx for idx, h in enumerate(walk) if len(d.rotations[d.origin(h)]) != 2]
+        if not br.closed:
+            chains = [walk[a:b] for a, b in zip(cuts, cuts[1:] + [len(walk)])]
+        elif not cuts:
+            chains = [walk]
+        else:
+            chains = [walk[a:b] if b > a else walk[a:] + walk[:b] for a, b in zip(cuts, cuts[1:] + cuts[:1])]
+        for chain in chains:
+            if 1 in (len(d.rotations[d.origin(chain[0])]), len(d.rotations[d.head(chain[-1])])):
+                continue
+            f1, f2 = d.face_of[chain[0]], d.face_of[-chain[0]]
+            if f1 != f2 and f1 in vid and f2 in vid:
+                edges.append((min(vid[f1], vid[f2]), max(vid[f1], vid[f2])))
+    return sorted(edges)

@@ -7,15 +7,35 @@ from divides.ag import (
     detect_chains,
     export_dot,
 )
-from divides.divide import Divide, two_coloring
+from divides.divide import two_coloring
+from divides.tracing import trace_with_retries
 
 from fixtures import (
+    HANDPICKED,
     circle_divide,
     cusp_divide,
     figure_eight_divide,
     node_divide,
+    segment_divide,
+    split_edge,
+    two_cusps_divide,
     two_parabolas_divide,
 )
+from oracles import one_cell_region_edges
+
+HAND_FIXTURES = {
+    "circle": circle_divide,
+    "figure-eight": figure_eight_divide,
+    "node": node_divide,
+    "cusp": cusp_divide,
+    "two-parabolas": two_parabolas_divide,
+    "segment": segment_divide,
+    "two-cusps": two_cusps_divide,
+}
+
+
+def region_edges(g):
+    return [(u, v) for u, v in g.edges if g.vertices[u].color and g.vertices[v].color]
 
 
 class TestBuild:
@@ -76,7 +96,32 @@ class TestAdjacency:
             assert g.neighbors(v) == [b if a == v else a for a, b in edges if v in (a, b)]
             assert g.degree(v) == len(g.neighbors(v))
         assert (g.multiplicity(1, 0), g.multiplicity(2, 3), g.multiplicity(0, 2)) == (2, 1, 0)
-        assert g.multi_edges() == [(0, 1)]
+
+
+class TestRegionEdges:
+    """The arc rule of build_diagram against the one-cell reference."""
+
+    @pytest.mark.parametrize("make", HAND_FIXTURES.values(), ids=HAND_FIXTURES.keys())
+    def test_hand_fixtures(self, make):
+        d = make()
+        assert region_edges(build_diagram(d)) == one_cell_region_edges(d)
+
+    @pytest.mark.parametrize("name", HANDPICKED)
+    def test_traced_handpicked(self, name):
+        # ellipse-composition certifies on its grid-1024 retry
+        d = trace_with_retries(HANDPICKED[name](), retries=1).divide
+        assert region_edges(build_diagram(d)) == one_cell_region_edges(d)
+
+    def test_two_cusps_counts(self):
+        # 7 inner regions and 8 crossings: 5 of the 24 edges join two regions
+        g = build_diagram(two_cusps_divide())
+        assert (len(g.edges), len(region_edges(g))) == (24, 5)
+
+    def test_markers_are_transparent(self):
+        d = two_cusps_divide()
+        g = build_diagram(d)
+        for e in range(1, d.n_edges + 1):
+            assert build_diagram(split_edge(d, e)) == g, e
 
 
 class TestChains:
@@ -132,6 +177,5 @@ class TestExport:
         assert text.count(" -- ") == 1
 
     def test_dot_empty(self):
-        d = Divide([(False, [1])], {0: [1], 1: [-1]}, [0, 1])
-        text = export_dot(build_diagram(d))
+        text = export_dot(build_diagram(segment_divide()))
         assert text == "graph ag_diagram {\n}\n"

@@ -12,7 +12,9 @@ from divides.divide import (
     two_coloring,
     validate,
 )
+from divides.families import family_semiquasi_pp
 from divides.singularity import BranchType, SingularityType
+from divides.tracing import trace_divide
 
 from fixtures import (
     circle_divide,
@@ -137,7 +139,7 @@ class TestColoring:
     def test_circle(self):
         d = circle_divide()
         col = two_coloring(d)
-        inner = [f for f, isin in col.inner.items() if isin]
+        inner = list(d.inner_faces)
         outer = [f for f in col.color if f not in inner]
         assert len(inner) == 1 and len(outer) == 1
         assert col.color[inner[0]] != col.color[outer[0]]
@@ -146,7 +148,7 @@ class TestColoring:
     def test_figure_eight_loops_same_color(self):
         d = figure_eight_divide()
         col = two_coloring(d)
-        loops = [f for f, isin in col.inner.items() if isin]
+        loops = d.inner_faces
         assert len(loops) == 2
         assert col.color[loops[0]] == col.color[loops[1]]
 
@@ -240,6 +242,52 @@ class TestCheckAgainstType:
             two_parabolas_divide(), s, {0: ("real", 0), 1: ("real", 1)}
         )
         assert not rep.ok
+
+
+class TestCheckPairSlots:
+    """Census items of branches assigned to conjugate pairs."""
+
+    # one smooth conjugate pair meeting its mirror transversally
+    pair = SingularityType((), (SMOOTH,), ((0, 1), (1, 0)))
+
+    def test_circle_against_smooth_pair(self):
+        rep = check_against_type(circle_divide(), self.pair, {0: ("pair", 0)})
+        assert rep.ok, rep
+
+    def test_figure_eight_against_smooth_pair(self):
+        rep = check_against_type(figure_eight_divide(), self.pair, {0: ("pair", 0)})
+        assert not rep.ok
+
+    @pytest.mark.parametrize(
+        "lines, quadrics, levels, expected",
+        [
+            # a line through an ellipse: real x pair
+            ([(1, 0)], [(1, 0, 1)], [1], [
+                ("total crossings", 2),
+                ("self-crossings branch 0", 0),
+                ("self-crossings branch 1", 0),
+                ("crossings branches 0x1", 2),
+                ("inner regions", 2),
+            ]),
+            # two ellipses meeting in four points: pair x pair
+            ([], [(1, 0, 2), (2, 0, 1)], [1, 1], [
+                ("total crossings", 4),
+                ("self-crossings branch 0", 0),
+                ("self-crossings branch 1", 0),
+                ("crossings branches 0x1", 4),
+                ("inner regions", 5),
+            ]),
+        ],
+        ids=["line-ellipse", "two-ellipses"],
+    )
+    def test_traced_semiquasi(self, lines, quadrics, levels, expected):
+        family = family_semiquasi_pp(lines, quadrics, levels)
+        d = trace_divide(family).divide
+        assignment = {k: ("real", k) for k in range(len(lines))}
+        assignment.update({len(lines) + k: ("pair", k) for k in range(len(quadrics))})
+        rep = check_against_type(d, family.singularity, assignment)
+        assert [(it.name, it.expected) for it in rep.items] == expected
+        assert rep.ok, rep
 
 
 class TestEulerInequality:

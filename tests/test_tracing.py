@@ -10,7 +10,7 @@ import pytest
 
 from divides import tracing
 from divides.ag import build_diagram
-from divides.divide import check_against_type, divide_from_json, divide_to_json, validate
+from divides.divide import check_against_type, divide_to_json, validate
 from divides.families import (
     FamilySpec,
     family_from_expression,
@@ -22,7 +22,7 @@ from divides.families import (
 from divides.singularity import BranchType, SingularityType, invariants_report
 from divides.tracing import TraceError, _nonzero, _seeds, trace_divide, trace_with_retries
 
-from fixtures import HANDPICKED, ellipse_composition
+from fixtures import HANDPICKED, ellipse_composition, two_cusps_divide
 from oracles import einsum_evaluators, local_minima
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -298,6 +298,22 @@ def test_wrong_node_count_exhausts_the_retries():
     assert "found 1 nodes, expected 2" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "attempt",
+    [
+        lambda fam: trace_divide(fam, window=-1),
+        lambda fam: trace_divide(fam, t=math.nan),
+        lambda fam: trace_divide(fam, t=math.inf),
+        lambda fam: trace_with_retries(fam, retries=-1),
+    ],
+    ids=["window-negative", "t-nan", "t-inf", "retries-negative"],
+)
+def test_bad_parameters_are_refused(attempt):
+    with pytest.raises(TraceError) as exc:
+        attempt(family_from_expression("(y - x)*(y + 2*x)", window=1.0))
+    assert exc.value.reason == "parameters"
+
+
 def test_saddle_off_the_zero_level_is_discarded():
     """The saddle at (0.1, -0.05) has |F|/scale = 8.3e-8, so it is not a
     node; the two disjoint arcs of the zero set become two branches that
@@ -388,12 +404,8 @@ class TestTwoCuspsFixture:
     cusp = BranchType((2, 3))
     sing = SingularityType((cusp, cusp), (), ((0, 6), (6, 0)))
 
-    def load(self):
-        with open(self.path) as fh:
-            return divide_from_json(json.load(fh))
-
     def test_census(self):
-        d = self.load()
+        d = two_cusps_divide()
         inv = invariants_report(self.sing)
         assert validate(d) == []
         assert len(d.crossings) == inv["expected_nodes"] == 8
@@ -404,4 +416,4 @@ class TestTwoCuspsFixture:
     def test_json_roundtrip_is_byte_identical(self):
         with open(self.path, "rb") as fh:
             raw = fh.read()
-        assert json.dumps(divide_to_json(self.load()), indent=1, sort_keys=True).encode() == raw
+        assert json.dumps(divide_to_json(two_cusps_divide()), indent=1, sort_keys=True).encode() == raw
