@@ -9,11 +9,15 @@ to an exact cyclotomic exponent vector, the peel decomposition, and the
 decoding back to the pair type.  The decoder is a read-off of the peel
 sequence, verified by the re-encode: re-encoding what was read and
 comparing with the input alone decides membership (the encoding is
-injective).
+injective).  The comparison is made in factor form, against the peel
+sequence itself: t^N - 1 is the product of Phi_d over d | N, so
+to_cyclotomic is unitriangular in the divisor order and peeling is its
+exact inverse, and F and v agree after to_cyclotomic exactly when F's
+factors are v's peel entries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
 
@@ -71,12 +75,16 @@ def totient(d: int) -> int:
 
 @dataclass(frozen=True)
 class ConjPairType:
-    """Normal form (s, i, m, n) of a pair of conjugate branches."""
+    """Normal form (s, i, m, n) of a pair of conjugate branches.
+
+    ``intersection`` is the pair's intersection multiplicity, computed once
+    by the validation; it takes no part in equality, hashing or repr."""
 
     s: int
     i: int
     m: tuple[int, ...]
     n: tuple[int, ...]
+    intersection: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(int(v) for v in self.m))
@@ -107,7 +115,8 @@ class ConjPairType:
         # acquire extra contact outside the factored-polynomial normal form
         if n[i] % 2 == 0:
             raise InvalidConjPair("n_{i+1} must be odd for a genuine conjugate pair")
-        if pair_intersection(self) is None:
+        object.__setattr__(self, "intersection", pair_intersection(self))
+        if self.intersection is None:
             raise InvalidConjPair("expansions coincide; not a conjugate pair")
 
     @property
@@ -133,9 +142,13 @@ def w_sequence(m, n) -> list[int]:
     return w
 
 
-def _b(n, j1: int, j2: int) -> int:
-    """b_{j1,j2} = n_{j1} .. n_{j2} (1-based); an empty span gives 1."""
-    return prod(n[j1 - 1 : j2])
+def _suffix_products(n) -> list[int]:
+    """suf[j] = n_{j+1} .. n_s (1-based n), so suf[0] = n_1 .. n_s and
+    suf[s] = 1; b_{j1,j2} = n_{j1} .. n_{j2} is suf[j1 - 1] // suf[j2]."""
+    suf = [1]
+    for nj in reversed(n):
+        suf.append(suf[-1] * nj)
+    return suf[::-1]
 
 
 def _tau_exponents(T: ConjPairType) -> list[int]:
@@ -146,27 +159,26 @@ def _tau_exponents(T: ConjPairType) -> list[int]:
 def pair_intersection(T: ConjPairType) -> int | None:
     """Intersection multiplicity of the two conjugate branches.
 
-    Sums, over the n-th roots of unity zeta, the valuation of the
-    difference of the two expansions composed with tau -> zeta*tau.
-    Returns None if some zeta makes the difference vanish, i.e. the
+    Sums, over the n-th roots of unity zeta = e^(2 pi i j/n), the
+    valuation of the difference of the two expansions composed with
+    tau -> zeta*tau: the first B_k whose coefficient is nonzero.  That
+    coefficient is 1 - zeta^B_k for k < i, zero when j B_k = 0 mod n, and
+    1 + zeta^B_k for k >= i, zero when j B_k = n/2 mod n, which needs n
+    even.  Returns None if some zeta makes the difference vanish, i.e. the
     expansions parametrize a single branch, which ConjPairType rejects.
     """
     n = prod(T.n)
     B = _tau_exponents(T)
+    half = -1 if n % 2 else n // 2  # -1: no residue, 1 + zeta^B never vanishes
+    slots = list(zip(B, [0] * T.i + [half] * (T.s - T.i)))
     total = 0
     for j in range(n):
-        v = None
-        for k, Bk in enumerate(B):
-            if k < T.i:
-                nonzero = (j * Bk) % n != 0  # coefficient 1 - zeta^B
-            else:
-                nonzero = (2 * j * Bk) % (2 * n) != n  # coefficient 1 + zeta^B
-            if nonzero:
-                v = Bk
+        for Bk, r in slots:
+            if j * Bk % n != r:
+                total += Bk
                 break
-        if v is None:
+        else:
             return None
-        total += v
     return total
 
 
@@ -183,7 +195,7 @@ def conj_pair_singularity(T: ConjPairType) -> SingularityType:
     """The two-branch singularity (pair plus its intersection) in the
     invariant model's terms."""
     branch = BranchType(branch_char_exponents(T))
-    q = pair_intersection(T)
+    q = T.intersection
     table = ((0, q), (q, 0))
     return SingularityType((), (branch,), table)
 
@@ -200,12 +212,14 @@ class _Exponents:
 
     def __init__(self, exps: dict[int, int]):
         clean: dict[int, int] = {}
-        for d, k in exps.items():
-            d, k = int(d), int(k)
+        for d, k in zip(map(int, exps), map(int, exps.values())):
             if d < 1:
                 raise ValueError(f"{type(self).__name__} indices must be >= 1")
-            clean[d] = clean.get(d, 0) + k
-        setattr(self, self.field, {d: k for d, k in sorted(clean.items()) if k})
+            if d in clean:  # int() merged two keys
+                k += clean.pop(d)
+            if k:
+                clean[d] = k
+        setattr(self, self.field, dict(sorted(clean.items())))
 
     def __eq__(self, other):
         return type(other) is type(self) and getattr(self, self.field) == getattr(other, self.field)
@@ -287,20 +301,21 @@ def alexander_encode(T: ConjPairType) -> FactorForm:
     """
     s, i, n = T.s, T.i, T.n
     w = w_sequence(T.m, n)
+    suf = _suffix_products(n)
     fac: dict[int, int] = {}
 
     def add(N, k):
         fac[N] = fac.get(N, 0) + k
 
     add(1, 1)
-    add(2 * T.mt, -1)
+    add(2 * suf[0], -1)
     for j in range(1, i + 1):  # 1-based j <= i
-        add(2 * w[j - 1] * _b(n, j, s), +1)
-        add(2 * w[j - 1] * _b(n, j + 1, s), -1)
-    add(2 * w[i] * _b(n, i + 1, s), +2)
-    add(2 * w[i] * _b(n, i + 2, s), -1)
+        add(2 * w[j - 1] * suf[j - 1], +1)
+        add(2 * w[j - 1] * suf[j], -1)
+    add(2 * w[i] * suf[i], +2)
+    add(2 * w[i] * suf[i + 1], -1)
     for j in range(i + 2, s + 1):
-        e = w[i] * _b(n, i + 1, s) * _b(n, i + 2, j - 1) + w[j - 1] * _b(n, j + 1, s)
+        e = w[i] * suf[i] * (suf[i + 1] // suf[j - 1]) + w[j - 1] * suf[j]
         add(n[j - 1] * e, +2)
         add(e, -2)
     return FactorForm(fac)
@@ -359,10 +374,11 @@ def _read_peel(entries) -> tuple[int, int, list[int], list[int]]:
     i = len(lows)
     s = i + 1 + len(top)
     n = [U // L for U, L in lows] + [n_head] + [nj for nj, _ in reversed(top)]
-    w = [U // (2 * _b(n, j, s)) for j, (U, _) in enumerate(lows, 1)]
-    w.append(S // (2 * _b(n, i + 1, s)) if S else 1)
+    suf = _suffix_products(n)
+    w = [U // (2 * suf[j - 1]) for j, (U, _) in enumerate(lows, 1)]
+    w.append(S // (2 * suf[i]) if S else 1)
     for j, (_, e) in enumerate(reversed(top), i + 2):
-        w.append((e - w[i] * _b(n, i + 1, s) * _b(n, i + 2, j - 1)) // _b(n, j + 1, s))
+        w.append((e - w[i] * suf[i] * (suf[i + 1] // suf[j - 1])) // suf[j])
     m = [w[0]]  # inverse of w_sequence
     for j in range(1, s):
         m.append(w[j] - w[j - 1] * n[j - 1] * n[j] + m[j - 1] * n[j])
@@ -375,15 +391,18 @@ def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
     (t - 1) decodes to NodeType.  Otherwise the read-off recovers every
     encoded type, and the encoding is injective, so v is in the image
     exactly when what was read is a valid type that re-encodes to v;
-    NotInImage is raised otherwise.
+    NotInImage is raised otherwise.  The re-encode is compared in factor
+    form with v's peel entries, which is the same test as comparing its
+    to_cyclotomic with v (see the module docstring).
     """
     if v.exps == {1: 1}:
         return NodeType()
+    entries = peel_sequence(v)
     try:
-        T = ConjPairType(*_read_peel(peel_sequence(v)))
+        T = ConjPairType(*_read_peel(entries))
     except InvalidConjPair as exc:
         raise NotInImage(f"read-off parameters are not a valid type: {exc}") from exc
-    if to_cyclotomic(alexander_encode(T)) != v:
+    if alexander_encode(T).factors != dict(entries):
         raise NotInImage("read-off type does not re-encode to this vector")
     return T
 

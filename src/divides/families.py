@@ -417,7 +417,7 @@ def family_semiquasi_pp(
     if any(bi <= 0 for bi in bs):
         raise FamilyError("levels b_i must be positive")
 
-    _conic_pair_points(quads, bs)
+    _check_conic_pairs(quads, bs)
 
     ell = len(lines)
     k = len(quads)
@@ -456,10 +456,10 @@ def _proportional(v1, v2) -> bool:
     return all(abs(v1[i] * v2[j] - v1[j] * v2[i]) < 1e-12 for i in range(len(v1)) for j in range(len(v1)))
 
 
-def _conic_pair_points(quads, levels, label="quadrics"):
-    """Intersection points of each conic pair; errors unless every pair
-    meets in four distinct real points and all points are distinct."""
-    all_pts = []
+def _check_conic_pairs(quads, levels, label="quadrics"):
+    """Raise FamilyError unless every conic pair meets in four real points
+    and all these intersection points are pairwise distinct."""
+    pts = []
     for i in range(len(quads)):
         for j in range(i + 1, len(quads)):
             A1, B1, C1 = quads[i]
@@ -473,7 +473,6 @@ def _conic_pair_points(quads, levels, label="quadrics"):
                 raise FamilyError(
                     f"{label} {i} and {j} do not meet in four real points (discriminant {disc})"
                 )
-            pts = []
             # lines qa x^2 + qb x y + qc y^2 = 0
             if abs(qa) > 1e-14:
                 for root in np.roots([qa, qb, qc]):
@@ -488,14 +487,10 @@ def _conic_pair_points(quads, levels, label="quadrics"):
                 denom = A1 * root**2 + B1 * root + C1
                 yv = math.sqrt(b1 / denom)
                 pts += [(root * yv, yv), (-root * yv, -yv)]
-            all_pts.extend(pts)
-    for i in range(len(all_pts)):
-        for j in range(i + 1, len(all_pts)):
-            dx = all_pts[i][0] - all_pts[j][0]
-            dy = all_pts[i][1] - all_pts[j][1]
-            if math.hypot(dx, dy) < 1e-9:
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            if math.dist(p, q) < 1e-9:
                 raise FamilyError(f"{label} intersection points are not pairwise distinct")
-    return all_pts
 
 
 def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[float]) -> FamilySpec:
@@ -522,7 +517,7 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
             if _proportional(quads[i], quads[j]):
                 raise FamilyError(f"parts {i} and {j} share their tangent pair")
     if len(parts) > 1:
-        _conic_pair_points(quads, gam, label="part ellipses")
+        _check_conic_pairs(quads, gam, label="part ellipses")
 
     def coeffs(t):
         return reduce(_mul, (spec.coeffs(t * math.sqrt(g)) for spec, g in zip(parts, gam)))

@@ -118,6 +118,8 @@ class SingularityType:
         if len(table) != n or any(len(row) != n for row in table):
             raise InvalidSingularity(f"intersection table must be {n}x{n}")
         object.__setattr__(self, "intersections", table)
+        doubled = tuple(b for b in self.conj_pairs for _ in (0, 1))
+        mult = [b.multiplicity for b in self.real_branches + doubled]  # per slot
         for i in range(n):
             if table[i][i] != 0:
                 raise InvalidSingularity("diagonal of the intersection table is unused, keep 0")
@@ -126,20 +128,19 @@ class SingularityType:
                     raise InvalidSingularity(f"intersection table not symmetric at ({i},{j})")
                 if table[i][j] < 1:
                     raise InvalidSingularity(f"intersection ({i},{j}) must be >= 1")
-                mi = self.slot_branch(i).multiplicity
-                mj = self.slot_branch(j).multiplicity
+                mi, mj = mult[i], mult[j]
                 if table[i][j] < mi * mj:
                     raise InvalidSingularity(
                         f"intersection ({i},{j})={table[i][j]} below multiplicity bound {mi * mj}"
                     )
         # conjugation symmetry: the table must be invariant under swapping
-        # each pair slot with its mirror
+        # each pair slot with its mirror, the slot of the conjugate branch
+        re_br = len(self.real_branches)
+        mirror = [*range(re_br), *(re_br + (off ^ 1) for off in range(n - re_br))]
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                mi, mj = self.mirror_slot(i), self.mirror_slot(j)
-                if mi == mj:
+                mi, mj = mirror[i], mirror[j]
+                if mi == mj:  # also when i == j
                     continue
                 if table[i][j] != table[mi][mj]:
                     raise InvalidSingularity(
@@ -163,13 +164,6 @@ class SingularityType:
         if k < self.re_br:
             return self.real_branches[k]
         return self.conj_pairs[(k - self.re_br) // 2]
-
-    def mirror_slot(self, k: int) -> int:
-        """Slot of the complex-conjugate branch (fixed for real slots)."""
-        if k < self.re_br:
-            return k
-        off = k - self.re_br
-        return self.re_br + (off ^ 1)
 
     def pair_slots(self, p: int) -> tuple[int, int]:
         base = self.re_br + 2 * p
@@ -278,27 +272,33 @@ def singularity_to_json(s: SingularityType) -> dict:
 
 def invariants_report(s: SingularityType) -> dict:
     """All classical invariants in one dict (the CLI/service payload),
-    from one multiplicity sequence per slot and one delta."""
-    n = s.slot_count
-    seqs = [multiplicity_sequence(s.slot_branch(k)) for k in range(n)]
-    deltas = [sum(m * (m - 1) // 2 for m in seq) for seq in seqs]
-    delta = sum(deltas) + sum(s.intersections[i][j] for i in range(n) for j in range(i + 1, n))
+    from one multiplicity sequence per branch (a pair's two slots share
+    one) and one delta.  The table is symmetric with a zero diagonal, so
+    its pairwise sum is half its total."""
+    re_br, im_br = len(s.real_branches), len(s.conj_pairs)
+    kinds = [("real",)] * re_br + [("conj", "conj_mirror")] * im_br
+    slots = []  # (kind, branch, multiplicity sequence, delta) in slot order
+    for b, ks in zip(s.real_branches + s.conj_pairs, kinds):
+        seq = multiplicity_sequence(b)
+        d = sum(m * (m - 1) // 2 for m in seq)
+        slots += [(kind, b, seq, d) for kind in ks]
+    delta = sum(d for *_, d in slots) + sum(map(sum, s.intersections)) // 2
     return {
-        "multiplicity": total_multiplicity(s),
+        "multiplicity": sum(b.multiplicity for _, b, _, _ in slots),
         "delta": delta,
-        "milnor": 2 * delta - s.re_br - 2 * s.im_br + 1,
-        "re_br": s.re_br,
-        "im_br": s.im_br,
-        "expected_nodes": delta - s.im_br,
-        "expected_inner_regions": delta - s.re_br - s.im_br + 1,
+        "milnor": 2 * delta - re_br - 2 * im_br + 1,
+        "re_br": re_br,
+        "im_br": im_br,
+        "expected_nodes": delta - im_br,
+        "expected_inner_regions": delta - re_br - im_br + 1,
         "branches": [
             {
                 "slot": k,
-                "kind": "real" if k < s.re_br else ("conj" if (k - s.re_br) % 2 == 0 else "conj_mirror"),
-                "char_exponents": list(s.slot_branch(k).char_exponents),
-                "multiplicity_sequence": seqs[k],
-                "delta": deltas[k],
+                "kind": kind,
+                "char_exponents": list(b.char_exponents),
+                "multiplicity_sequence": list(seq),
+                "delta": d,
             }
-            for k in range(n)
+            for k, (kind, b, seq, d) in enumerate(slots)
         ],
     }

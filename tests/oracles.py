@@ -4,7 +4,8 @@ These deliberately recompute quantities by different routes than the
 library: a literal blow-up of exact Puiseux parametrizations for the
 multiplicity sequence and delta, the conductor formula for delta,
 sympy rational-function arithmetic for Alexander polynomials, a
-complete bounded search over conjugate-pair types for the decoder, and
+complete bounded search over conjugate-pair types for the decoder, the
+pair intersection as a literal sum over roots of unity, and
 the deformation families as exact sympy expressions, multiplied out
 symbolically, for the numeric coefficient matrices.  Two numeric
 references keep the tracer's array kernels honest: the evaluator as one
@@ -288,6 +289,30 @@ def search_preimages(v: CycloVector, s_cap: int) -> list[ConjPairType]:
         for i in range(s):
             rec_n(s, i, [], 0)
     return found
+
+
+def pair_intersection_bruteforce(T: ConjPairType) -> int | None:
+    """Intersection multiplicity of a conjugate pair, one root of unity at
+    a time: for zeta = e^(2 pi i j/n), the first tau-exponent B_k whose
+    coefficient, 1 - zeta^B_k for k < i and 1 + zeta^B_k for k >= i, is
+    nonzero.  None when some zeta leaves none."""
+    n = prod(T.n)
+    B = [T.m[k] * prod(T.n[k + 1 :]) for k in range(T.s)]
+    total = 0
+    for j in range(n):
+        v = None
+        for k, Bk in enumerate(B):
+            if k < T.i:
+                nonzero = (j * Bk) % n != 0  # coefficient 1 - zeta^B
+            else:
+                nonzero = (2 * j * Bk) % (2 * n) != n  # coefficient 1 + zeta^B
+            if nonzero:
+                v = Bk
+                break
+        if v is None:
+            return None
+        total += v
+    return total
 
 
 # --- exact families ------------------------------------------------------------

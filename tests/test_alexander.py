@@ -29,7 +29,7 @@ from divides.alexander import (
 )
 from divides.singularity import BranchType, branch_delta, milnor_number
 
-from oracles import delta_conductor, search_preimages
+from oracles import delta_conductor, pair_intersection_bruteforce, search_preimages
 
 
 NODE = ConjPairType(1, 0, (1,), (1,))
@@ -225,6 +225,30 @@ class TestPeel:
                 assert T.i + 1 == T.s - l // 2, T
 
 
+factor_forms = st.dictionaries(st.integers(1, 60), st.integers(-3, 3), max_size=8).map(FactorForm)
+
+
+class TestPeelInvertsCyclotomic:
+    """t^N - 1 = prod_{d | N} Phi_d makes to_cyclotomic unitriangular, so
+    peeling inverts it; alexander_decode relies on this to compare its
+    re-encode in factor form."""
+
+    @given(factor_forms)
+    @example(FactorForm({}))
+    @example(FactorForm({1: -1, 2: 1}))  # t + 1, a negative exponent
+    @example(FactorForm({6: 2, 3: -2, 2: -1}))
+    @settings(max_examples=400, deadline=None)
+    def test_peel_of_expansion_is_factor_form(self, F):
+        assert dict(peel_sequence(to_cyclotomic(F))) == F.factors
+
+    def test_on_every_encoding(self):
+        types = list(enumerate_conj_pair_types(4, 5, 40))
+        assert len(types) == 19358
+        for T in types:
+            F = alexander_encode(T)
+            assert dict(peel_sequence(to_cyclotomic(F))) == F.factors, T
+
+
 class TestDecode:
     def test_node(self):
         assert isinstance(alexander_decode(CycloVector({1: 1})), NodeType)
@@ -400,6 +424,24 @@ class TestPairIntersection:
             ConjPairType(2, 1, (3, 10), (2, 3)),
         ]:
             assert pair_intersection(T) == oracle(T), T
+
+    def test_stored_value_against_bruteforce(self):
+        types = list(enumerate_conj_pair_types(3, 5, 30))
+        assert len(types) == 5132
+        for T in types:
+            assert T.intersection == pair_intersection(T) == pair_intersection_bruteforce(T), T
+            assert conj_pair_singularity(T).intersections == ((0, T.intersection), (T.intersection, 0))
+
+    def test_stored_value_is_not_part_of_the_type(self):
+        # ConjPairType(1, 0, (3,), (2,)) is not a type: n_1 = 2 is even
+        with pytest.raises(InvalidConjPair):
+            ConjPairType(1, 0, (3,), (2,))
+        T = ConjPairType(1, 0, (4,), (3,))
+        assert T.intersection == 12
+        assert repr(T) == "ConjPairType(s=1, i=0, m=(4,), n=(3,))"
+        U = ConjPairType(1, 0, [4.0], [3])
+        assert T == U and hash(T) == hash(U) == hash((1, 0, (4,), (3,)))
+        assert T != ConjPairType(1, 0, (5,), (3,))
 
     def test_branch_char_exponents(self):
         assert branch_char_exponents(CONJ_CUSP) == (2, 3)

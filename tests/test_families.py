@@ -196,6 +196,12 @@ class TestSemiquasi:
         with pytest.raises(FamilyError):
             family_semiquasi_pp([], [(1, 0, 1), (1, 0, 4)], [2, 1])
 
+    def test_shared_intersection_points_rejected(self):
+        # all three conics pass through (+-1, +-1), so every pair meets
+        # there and the pairs' intersection points coincide
+        with pytest.raises(FamilyError, match="not pairwise distinct"):
+            family_semiquasi_pp([], [(1, 0, 1), (2, 0, 1), (1, 0, 2)], [2, 3, 3])
+
 
 class TestEllipseComposition:
     def part(self, tangent):

@@ -17,6 +17,7 @@ from divides.singularity import (
     total_multiplicity,
 )
 
+from fixtures import HANDPICKED
 from oracles import blowup_delta, blowup_multiplicity_sequence, delta_conductor, small_branch_grid
 
 
@@ -249,8 +250,8 @@ class TestReportAgainstFunctions:
     every field must equal the function that computes it alone."""
 
     def test_conj_pair_types(self):
-        types = list(enumerate_conj_pair_types(3, 4, 20))
-        assert len(types) == 932
+        types = list(enumerate_conj_pair_types(3, 4, 25))
+        assert len(types) == 2127
         for T in types:
             assert_report_matches_functions(conj_pair_singularity(T))
 
@@ -267,3 +268,7 @@ class TestReportAgainstFunctions:
     )
     def test_types_with_real_branches(self, s):
         assert_report_matches_functions(s)
+
+    @pytest.mark.parametrize("name", sorted(HANDPICKED))
+    def test_family_singularities(self, name):
+        assert_report_matches_functions(HANDPICKED[name]().singularity)
