@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .divide import Divide, FaceColoring, two_coloring
+from .divide import Divide, two_coloring
 
 
 class AGError(ValueError):
@@ -56,18 +56,15 @@ class AGDiagram:
         return self._edge_count[min(u, v), max(u, v)]
 
 
-def build_diagram(d: Divide, col: FaceColoring | None = None) -> AGDiagram:
+def build_diagram(d: Divide) -> AGDiagram:
     """Assemble the diagram of a valid divide from its coloring."""
-    if col is None:
-        col = two_coloring(d)
-    if set(col.color) != set(d.disc_faces()):
-        raise AGError("coloring does not belong to this divide")
+    color = two_coloring(d)
     crossings = list(d.crossings)
     inner = list(d.inner_faces)
     vid_of_crossing = {v: k for k, v in enumerate(crossings)}
     vid_of_face = {f: len(crossings) + k for k, f in enumerate(inner)}
     vertices = [AGVertex(vid_of_crossing[v], 0, "crossing", v) for v in crossings]
-    vertices += [AGVertex(vid_of_face[f], col.color[f], "region", f) for f in inner]
+    vertices += [AGVertex(vid_of_face[f], color[f], "region", f) for f in inner]
     edges: list[tuple[int, int]] = []
 
     # region-region: one edge per curve arc between two inner regions.  An

@@ -235,17 +235,6 @@ class Divide:
             out.append(fid)
         return tuple(out)
 
-    def disc_faces(self) -> list[int]:
-        """All complementary regions inside the disc (inner or boundary).
-
-        With endpoints present, the face beyond the boundary circle is not
-        a region of the disc; without them every face is, including the
-        designated boundary-touching one.
-        """
-        if self.boundary:
-            return [fid for fid in range(len(self.faces)) if fid != self.outside_face]
-        return list(range(len(self.faces)))
-
 
 # --- validation ---------------------------------------------------------------
 
@@ -280,7 +269,8 @@ def validate(d: Divide) -> list[Violation]:
     if not d.boundary and d.outer_face is None:
         out.append(Violation("missing-outer-face", "boundary-free divide needs outer_face"))
 
-    # crossings carry exactly two transversal strand passages
+    # crossings carry exactly two transversal strand passages; both ports of
+    # a passage are in the rotation, as every walk step joins at one vertex
     for v in d.crossings:
         rot = d.rotations[v]
         pas = d.passages.get(v, [])
@@ -289,9 +279,7 @@ def validate(d: Divide) -> list[Violation]:
             continue
         pos = {h: k for k, h in enumerate(rot)}
         for h_in, h_out, _ in pas:
-            if h_in not in pos or h_out not in pos:
-                out.append(Violation("crossing-ports", f"passage ports missing at {v}"))
-            elif (pos[h_in] - pos[h_out]) % 4 != 2:
+            if (pos[h_in] - pos[h_out]) % 4 != 2:
                 out.append(
                     Violation(
                         "strand-alternation",
@@ -323,20 +311,15 @@ def validate(d: Divide) -> list[Violation]:
             out.append(
                 Violation("non-planar", f"Euler characteristic {V - E + F} != 2")
             )
-    except (StructureError, DivideError) as exc:
+    except StructureError as exc:
         out.append(Violation("face-structure", str(exc)))
     return out
 
 
 def _component_count(d: Divide) -> int:
+    """Connected components of the augmented map (union-find)."""
     rot, origin, _ = d._augmented
-    return _count_components(rot, ((v, origin[-h]) for h, v in origin.items()))
-
-
-def _count_components(nodes, links) -> int:
-    """Connected components of the graph on ``nodes`` with edges ``links``
-    (union-find)."""
-    parent = {v: v for v in nodes}
+    parent = {v: v for v in rot}
 
     def find(x):
         while parent[x] != x:
@@ -344,8 +327,8 @@ def _count_components(nodes, links) -> int:
             x = parent[x]
         return x
 
-    for a, b in links:
-        ra, rb = find(a), find(b)
+    for h, v in origin.items():
+        ra, rb = find(v), find(origin[-h])
         if ra != rb:
             parent[ra] = rb
     return len({find(v) for v in parent})
@@ -354,16 +337,8 @@ def _count_components(nodes, links) -> int:
 # --- two-coloring --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceColoring:
-    color: dict[int, int]          # disc face id -> +1/-1
-
-    def flip(self) -> "FaceColoring":
-        return FaceColoring({f: -c for f, c in self.color.items()})
-
-
-def two_coloring(d: Divide) -> FaceColoring:
-    """Checkerboard coloring of the complementary regions.
+def two_coloring(d: Divide) -> dict[int, int]:
+    """Checkerboard coloring of the complementary regions: face id -> +1/-1.
 
     Canonical choice: with endpoints, the region left of the first
     boundary arc gets +1; for a boundary-free divide the designated
@@ -372,7 +347,10 @@ def two_coloring(d: Divide) -> FaceColoring:
     problems = validate(d)
     if problems:
         raise DivideError(f"cannot color an invalid divide: {problems[0].detail}")
-    adj: dict[int, set[int]] = {f: set() for f in d.disc_faces()}
+    # the regions of the disc: with endpoints, every face but the one beyond
+    # the boundary circle; without them, every face
+    outside = d.outside_face if d.boundary else None
+    adj: dict[int, set[int]] = {f: set() for f in range(len(d.faces)) if f != outside}
     for e in range(1, d.n_edges + 1):
         f1, f2 = d.face_of[e], d.face_of[-e]
         if f1 in adj and f2 in adj and f1 != f2:
@@ -394,57 +372,7 @@ def two_coloring(d: Divide) -> FaceColoring:
                 raise DivideError("complementary regions are not 2-colorable")
     if set(color) != set(adj):
         raise DivideError("region adjacency graph is disconnected; coloring not unique")
-    return FaceColoring(color)
-
-
-# --- body ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BodyReport:
-    inner_faces: tuple[int, ...]
-    edges: tuple[int, ...]
-    vertices: tuple[int, ...]
-    euler: int
-    connected: bool
-    simply_connected: bool
-    empty: bool
-    node_exception: bool
-
-
-def body(d: Divide) -> BodyReport:
-    """Closure of the inner regions, with its topology summarized.
-
-    An empty body is flagged as the hyperbolic-node exception: the node is
-    the one singularity whose divide has no inner region.
-    """
-    inner = d.inner_faces
-    if not inner:
-        return BodyReport((), (), (), 0, False, False, True, True)
-    edges = set()
-    verts = set()
-    for fid in inner:
-        for h in d.faces[fid]:
-            edges.add(abs(h))
-            verts.add(d.origin(h))
-    # connectivity of the union of closed faces: faces glue along shared
-    # edges or shared vertices
-    nodes = [("f", f) for f in inner] + [("e", e) for e in edges] + [("v", v) for v in verts]
-    links = [(("f", fid), cell) for fid in inner for h in d.faces[fid]
-             for cell in (("e", abs(h)), ("v", d.origin(h)))]
-    links += [(("e", e), ("v", v)) for e in edges for v in (d.origin(e), d.head(e))]
-    connected = _count_components(nodes, links) == 1
-    euler = len(verts) - len(edges) + len(inner)
-    return BodyReport(
-        tuple(inner),
-        tuple(sorted(edges)),
-        tuple(sorted(verts)),
-        euler,
-        connected,
-        connected and euler == 1,
-        False,
-        False,
-    )
+    return color
 
 
 # --- counting ------------------------------------------------------------------

@@ -383,9 +383,7 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
     )
 
 
-def family_semiquasi_pp(
-    real_lines: Sequence[tuple], quadrics: Sequence[tuple], b: Sequence[float], line_shifts=None
-) -> FamilySpec:
+def family_semiquasi_pp(real_lines: Sequence[tuple], quadrics: Sequence[tuple], b: Sequence[float]) -> FamilySpec:
     """Union of real lines and positive-definite conic pencils: the
     deformation of a transversal-smooth-branch singularity of type (d, d).
 
@@ -421,10 +419,8 @@ def family_semiquasi_pp(
 
     ell = len(lines)
     k = len(quads)
-    if line_shifts is None:
-        base = 0.35 * math.sqrt(min(bs)) if bs else 1.0
-        line_shifts = [base * (1 + 0.41 * idx) for idx in range(ell)]
-    shifts = [float(cshift) for cshift in line_shifts]
+    base = 0.35 * math.sqrt(min(bs)) if bs else 1.0
+    shifts = [base * (1 + 0.41 * idx) for idx in range(ell)]
 
     # each factor is a form in x, y minus its level times t
     factors = [(np.array([[0, lb], [la, 0]]), cshift) for (la, lb), cshift in zip(lines, shifts)]

@@ -17,16 +17,15 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def svg_divide(traced: TracedDivide, size: int = 640) -> str:
+def svg_divide(traced: TracedDivide) -> str:
     """Standalone SVG of the traced divide: strands per branch, nodes,
     window frame.  Output is byte-stable for identical inputs."""
     W = traced.meta.window
-    scale = size / (2 * W)
+    scale = 640 / (2 * W)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="white" stroke="black" stroke-width="1"/>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" viewBox="0 0 640 640">',
+        '<rect x="0" y="0" width="640" height="640" fill="white" stroke="black" stroke-width="1"/>',
     ]
     branch_of_edge = traced.divide.branch_of_edge
     for e in sorted(traced.strand_paths):

@@ -92,6 +92,12 @@ def branch_delta(b: BranchType) -> int:
     return sum(m * (m - 1) // 2 for m in multiplicity_sequence(b))
 
 
+def _mirror_slots(re_br: int, n: int) -> list[int]:
+    """The slot of the conjugate branch, for each of n slots: a real branch
+    is its own conjugate, and each pair slot swaps with its partner."""
+    return [*range(re_br), *(re_br + (off ^ 1) for off in range(n - re_br))]
+
+
 @dataclass(frozen=True)
 class SingularityType:
     """A real singularity: real branches, conjugate pairs, intersections.
@@ -135,8 +141,7 @@ class SingularityType:
                     )
         # conjugation symmetry: the table must be invariant under swapping
         # each pair slot with its mirror, the slot of the conjugate branch
-        re_br = len(self.real_branches)
-        mirror = [*range(re_br), *(re_br + (off ^ 1) for off in range(n - re_br))]
+        mirror = _mirror_slots(len(self.real_branches), n)
         for i in range(n):
             for j in range(n):
                 mi, mj = mirror[i], mirror[j]
@@ -219,11 +224,6 @@ def singularity_from_json(obj: dict) -> SingularityType:
     if n == 0:
         raise InvalidSingularity("empty branch list")
 
-    def mirror(k: int) -> int:
-        if k < len(reals):
-            return k
-        return len(reals) + ((k - len(reals)) ^ 1)
-
     given: dict[tuple[int, int], int] = {}
     for key, val in obj.get("intersections", {}).items():
         try:
@@ -242,9 +242,10 @@ def singularity_from_json(obj: dict) -> SingularityType:
     # close under conjugation symmetry, rejecting conflicts; conjugation is
     # an involution on slot pairs, so one pass over the given entries
     # reaches the closure
+    mirror = _mirror_slots(len(reals), n)
     entries = dict(given)
     for (i, j), v in given.items():
-        mi, mj = mirror(i), mirror(j)
+        mi, mj = mirror[i], mirror[j]
         mpair = (min(mi, mj), max(mi, mj))
         if entries.setdefault(mpair, v) != v:
             raise InvalidSingularity(

@@ -157,8 +157,7 @@ def _seeds(gradient, xs, ys):
     return xs[mi + 1], ys[mj + 1]
 
 
-def trace_divide(family: FamilySpec, t: float | None = None, window: float | None = None,
-                 grid_n: int = 512) -> TracedDivide:
+def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) -> TracedDivide:
     """Single tracing attempt at fixed parameters.
 
     Raises TraceError when the numerics cannot certify the picture
@@ -171,7 +170,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, window: float | Non
     t = family.t_default if t is None else float(t)
     if not 0 < t < math.inf:
         raise TraceError("parameters", "t must be positive and finite")
-    W = family.window(t) if window is None else float(window)
+    W = family.window(t)
     if not 0 < W < math.inf:
         raise TraceError("parameters", "window must be positive and finite")
     f, gradient, hessian = family.evaluators(t)
@@ -419,16 +418,15 @@ def _assemble(infos, strand_ends, edge_paths) -> Divide:
     return divide
 
 
-def trace_with_retries(family: FamilySpec, t: float | None = None, grid_n: int = 512,
-                       window: float | None = None, retries: int = 3) -> TracedDivide:
+def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) -> TracedDivide:
     """Monotone retry protocol: halve t and double the grid on failure."""
     if retries < 0:
         raise TraceError("parameters", "retries must be at least 0")
-    t = family.t_default if t is None else float(t)
+    t = family.t_default
     last_exc: Exception | None = None
     for _ in range(retries + 1):
         try:
-            traced = trace_divide(family, t=t, window=window, grid_n=grid_n)
+            traced = trace_divide(family, t=t, grid_n=grid_n)
         except TraceError as exc:
             last_exc = exc
         else:

@@ -380,10 +380,9 @@ def exact_one_puiseux_pair(p, q, a, tangent=(0, 1)) -> ExactFamily:
     return ExactFamily(sympy.expand(F.subs(_tangent_subs(*tangent))), solver)
 
 
-def exact_semiquasi_pp(real_lines, quadrics, b, line_shifts=None) -> ExactFamily:
-    if line_shifts is None:
-        base = 0.35 * math.sqrt(min(b)) if b else 1.0
-        line_shifts = [base * (1 + 0.41 * idx) for idx in range(len(real_lines))]
+def exact_semiquasi_pp(real_lines, quadrics, b) -> ExactFamily:
+    base = 0.35 * math.sqrt(min(b)) if b else 1.0
+    line_shifts = [base * (1 + 0.41 * idx) for idx in range(len(real_lines))]
     F = sympy.Integer(1)
     for (la, lb), cshift in zip(real_lines, line_shifts):
         F *= _num(la) * X + _num(lb) * Y - _num(cshift) * T
@@ -450,14 +449,13 @@ def local_minima(g) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(mins)
 
 
-def svg_divide(traced, size: int = 640) -> str:
+def svg_divide(traced) -> str:
     """render.svg_divide with one f-string per polyline point."""
     W = traced.meta.window
-    scale = size / (2 * W)
+    scale = 640 / (2 * W)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="white" stroke="black" stroke-width="1"/>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" viewBox="0 0 640 640">',
+        '<rect x="0" y="0" width="640" height="640" fill="white" stroke="black" stroke-width="1"/>',
     ]
     branch_of_edge = traced.divide.branch_of_edge
     for e in sorted(traced.strand_paths):

@@ -4,7 +4,6 @@ from divides.divide import (
     Divide,
     DivideError,
     StructureError,
-    body,
     check_against_type,
     crossing_matrix,
     divide_from_json,
@@ -140,61 +139,35 @@ class TestColoring:
         d = circle_divide()
         col = two_coloring(d)
         inner = list(d.inner_faces)
-        outer = [f for f in col.color if f not in inner]
+        outer = [f for f in col if f not in inner]
         assert len(inner) == 1 and len(outer) == 1
-        assert col.color[inner[0]] != col.color[outer[0]]
-        assert col.color[outer[0]] == -1
+        assert col[inner[0]] != col[outer[0]]
+        assert col[outer[0]] == -1
 
     def test_figure_eight_loops_same_color(self):
         d = figure_eight_divide()
         col = two_coloring(d)
         loops = d.inner_faces
         assert len(loops) == 2
-        assert col.color[loops[0]] == col.color[loops[1]]
-
-    def test_flip_involution(self):
-        col = two_coloring(cusp_divide())
-        assert col.flip().flip() == col
+        assert col[loops[0]] == col[loops[1]]
 
     def test_anchor_is_plus_one(self):
         d = cusp_divide()
         col = two_coloring(d)
         anchor = d.face_of[d.arc_ids[0]]
-        assert col.color[anchor] == 1
+        assert col[anchor] == 1
 
     def test_adjacent_faces_differ(self):
         for d in (figure_eight_divide(), cusp_divide(), two_parabolas_divide()):
             col = two_coloring(d)
             for e in range(1, d.n_edges + 1):
                 f1, f2 = d.face_of[e], d.face_of[-e]
-                if f1 in col.color and f2 in col.color and f1 != f2:
-                    assert col.color[f1] != col.color[f2]
+                if f1 in col and f2 in col and f1 != f2:
+                    assert col[f1] != col[f2]
 
     def test_invalid_divide_rejected(self):
         with pytest.raises(DivideError):
             two_coloring(disjoint_circles_divide())
-
-
-class TestBody:
-    def test_node_exception(self):
-        rep = body(node_divide())
-        assert rep.empty and rep.node_exception
-
-    def test_circle(self):
-        rep = body(circle_divide())
-        assert not rep.empty
-        assert rep.connected and rep.simply_connected
-        assert rep.euler == 1
-
-    def test_figure_eight(self):
-        rep = body(figure_eight_divide())
-        # two loop discs joined at the crossing
-        assert rep.connected and rep.simply_connected
-        assert len(rep.inner_faces) == 2
-
-    def test_cusp(self):
-        rep = body(cusp_divide())
-        assert rep.connected and rep.simply_connected
 
 
 class TestCrossingMatrix:

@@ -298,10 +298,45 @@ def test_wrong_node_count_exhausts_the_retries():
     assert "found 1 nodes, expected 2" in str(exc.value)
 
 
+def test_retry_schedule(monkeypatch):
+    """Each retry halves t and doubles the grid.  t and grid_n reach
+    trace_divide as keywords, where the benchmark's span probe reads them."""
+    calls = []
+
+    def recording(family, **kwargs):
+        calls.append(kwargs)
+        return trace_divide(family, **kwargs)
+
+    monkeypatch.setattr(tracing, "trace_divide", recording)
+    family = _crossing_lines(2)
+    with pytest.raises(TraceError):
+        trace_with_retries(family, retries=2)
+    t0 = family.t_default
+    assert calls == [{"t": t0, "grid_n": 512}, {"t": t0 / 2, "grid_n": 1024}, {"t": t0 / 4, "grid_n": 2048}]
+
+
+def test_census_refuses_the_clipped_circle():
+    """A conjugate pair of smooth branches wants one closed branch around
+    one inner region.  At t0 with this tangent the window clips the oval
+    into one open arc with no node and no inner region, and the attempt
+    returns it: only the census refuses it.  Once trace_with_retries
+    certifies what it returns (ROADMAP item 6), this test expects a
+    TraceError instead."""
+    family = family_smooth_conjugate([{2: 2j}], (1, 2))
+    traced = trace_with_retries(family, retries=0)
+    d = traced.divide
+    assert validate(d) == []
+    assert [br.closed for br in d.branches] == [False]
+    assert d.inner_faces == ()
+    assert invariants_report(family.singularity)["expected_inner_regions"] == 1
+    assert not census_passes(d, family.singularity)
+
+
 @pytest.mark.parametrize(
     "attempt",
     [
-        lambda fam: trace_divide(fam, window=-1),
+        # the family passes the caller's window through; the tracer refuses it
+        lambda fam: trace_divide(family_from_expression("(y - x)*(y + 2*x)", window=-1)),
         lambda fam: trace_divide(fam, t=math.nan),
         lambda fam: trace_divide(fam, t=math.inf),
         lambda fam: trace_with_retries(fam, retries=-1),
