@@ -1,11 +1,19 @@
 """Combinatorial divides: immersed curve systems in a disc.
 
 A divide is stored as a planar map: edges 1..E with half-edges +-e, a
-rotation system (counterclockwise outgoing half-edges per vertex), branch
-walks over signed edge ids, and the cyclic list of boundary endpoints on
-the disc.  Crossings are the 4-valent vertices; 2-valent vertices are
-transparent markers (needed to carry crossing-free closed curves);
-1-valent vertices are branch endpoints on the disc boundary.
+rotation system (counterclockwise outgoing half-edges per vertex) and the
+cyclic list of boundary endpoints on the disc.  Crossings are the 4-valent
+vertices; 2-valent vertices are transparent markers (needed to carry
+crossing-free closed curves); 1-valent vertices are branch endpoints on the
+disc boundary.
+
+A branch is an immersed curve, so it goes straight through every crossing
+and the rotation system fixes every branch walk.  The walks are derived
+once: at a vertex of valence n a branch arriving in slot s leaves through
+slot s + n/2 (mod n), and it ends at valence 1.  Open branches start from
+rotations[v][0] for v in boundary order, then from any 1-valent vertex not
+on the boundary; closed branches start from +e, the least unused edge
+first.
 
 Faces are computed from the rotation system augmented with the boundary
 arcs of the disc, so the complementary regions of the divide inside the
@@ -38,12 +46,6 @@ class Branch:
     closed: bool
     walk: tuple[int, ...]
 
-    def steps(self):
-        """Consecutive half-edge pairs (h1, h2) of the walk, wrapping
-        around when the branch is closed."""
-        w = self.walk
-        return zip(w, w[1:] + w[:1]) if self.closed else zip(w, w[1:])
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -52,10 +54,7 @@ class Violation:
 
 
 class Divide:
-    def __init__(self, branches, rotations, boundary=(), outer_face=None):
-        self.branches: tuple[Branch, ...] = tuple(
-            b if isinstance(b, Branch) else Branch(bool(b[0]), tuple(b[1])) for b in branches
-        )
+    def __init__(self, rotations, boundary=(), outer_face=None):
         self.rotations: dict[int, tuple[int, ...]] = {
             int(v): tuple(int(h) for h in rot) for v, rot in rotations.items()
         }
@@ -68,6 +67,8 @@ class Divide:
     def _check_structure(self):
         seen_halves: dict[int, int] = {}
         for v, rot in self.rotations.items():
+            if len(rot) not in (1, 2, 4):
+                raise StructureError(f"vertex {v} has valence {len(rot)}")
             for h in rot:
                 if h == 0:
                     raise StructureError(f"half-edge id 0 at vertex {v}")
@@ -83,24 +84,9 @@ class Divide:
         self._origin = seen_halves
         self._n_edges = len(edges)
 
-        used: set[int] = set()
-        for bid, br in enumerate(self.branches):
-            if not br.walk:
-                raise StructureError(f"branch {bid} has an empty walk")
-            for h in br.walk:
-                if abs(h) in used:
-                    raise StructureError(f"edge {abs(h)} used by more than one walk position")
-                used.add(abs(h))
-                if h not in seen_halves:
-                    raise StructureError(f"walk of branch {bid} uses unknown half-edge {h}")
-            for h1, h2 in br.steps():
-                if self._origin[-h1] != self._origin[h2]:
-                    raise StructureError(
-                        f"walk of branch {bid} breaks at {h1}->{h2}: head {self._origin[-h1]} vs tail {self._origin[h2]}"
-                    )
-        if used != edges:
-            raise StructureError(f"edges not covered by walks: {sorted(edges - used)}")
-
+        for v in self.boundary:
+            if len(self.rotations.get(v, ())) != 1:
+                raise StructureError(f"boundary vertex {v} is missing or not 1-valent")
         if self.outer_face is not None and self.outer_face not in seen_halves:
             raise StructureError(f"outer_face marker {self.outer_face} is not a half-edge")
 
@@ -123,28 +109,37 @@ class Divide:
         return tuple(sorted(v for v, rot in self.rotations.items() if len(rot) == 1))
 
     @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        """The branch walks the rotation system fixes (see the module docstring)."""
+
+        def branch(h0):
+            walk = [h0]
+            while True:
+                rot = self.rotations[self.head(walk[-1])]
+                n = len(rot)
+                if n == 1:
+                    return Branch(False, tuple(walk))
+                h = rot[(rot.index(-walk[-1]) + n // 2) % n]
+                if h == h0:
+                    return Branch(True, tuple(walk))
+                walk.append(h)
+
+        starts = [self.rotations[v][0] for v in self.boundary]
+        starts += [self.rotations[v][0] for v in self.endpoints if v not in self.boundary]
+        used: set[int] = set()
+        out = []
+        for h0 in starts + list(range(1, self._n_edges + 1)):
+            if abs(h0) not in used:
+                out.append(branch(h0))
+                used.update(abs(h) for h in out[-1].walk)
+        return tuple(out)
+
+    @cached_property
     def branch_of_edge(self) -> dict[int, int]:
         out = {}
         for bid, br in enumerate(self.branches):
             for h in br.walk:
                 out[abs(h)] = bid
-        return out
-
-    # -- passages through crossings -----------------------------------------
-
-    @cached_property
-    def passages(self) -> dict[int, list[tuple[int, int, int]]]:
-        """crossing -> list of (in_half_edge, out_half_edge, branch id).
-
-        The in/out half-edges are both rooted at the crossing: the strand
-        arrives through -in and leaves through out.
-        """
-        out: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.crossings}
-        for bid, br in enumerate(self.branches):
-            for h1, h2 in br.steps():
-                v = self.origin(h2)
-                if v in out:
-                    out[v].append((-h1, h2, bid))
         return out
 
     # -- faces ----------------------------------------------------------------
@@ -165,8 +160,6 @@ class Divide:
         for k, v in enumerate(self.boundary):
             a_out = arc_ids[k]
             a_in = arc_ids[(k - 1) % n_arc]
-            if len(self.rotations[v]) != 1:
-                raise StructureError(f"boundary vertex {v} is not 1-valent")
             h_curve = self.rotations[v][0]
             # ccw order at a point of the ccw-oriented circle: forward arc,
             # inward curve edge, backward arc
@@ -243,12 +236,7 @@ def validate(d: Divide) -> list[Violation]:
     """Semantic checks; an empty list means the divide is valid."""
     out: list[Violation] = []
 
-    for v, rot in d.rotations.items():
-        if len(rot) not in (1, 2, 4):
-            out.append(Violation("bad-valence", f"vertex {v} has valence {len(rot)}"))
-
-    # boundary endpoints: distinct, exactly the 1-valent vertices, one per
-    # open branch end
+    # boundary endpoints: distinct and exactly the 1-valent vertices
     if len(set(d.boundary)) != len(d.boundary):
         out.append(Violation("boundary-duplicates", "boundary endpoint listed twice"))
     if set(d.boundary) != set(d.endpoints):
@@ -258,38 +246,11 @@ def validate(d: Divide) -> list[Violation]:
                 f"boundary list {sorted(d.boundary)} vs 1-valent vertices {list(d.endpoints)}",
             )
         )
-    open_branches = [b for b in d.branches if not b.closed]
-    if len(d.boundary) != 2 * len(open_branches):
-        out.append(
-            Violation(
-                "endpoint-count",
-                f"{len(d.boundary)} endpoints for {len(open_branches)} open branches",
-            )
-        )
     if not d.boundary and d.outer_face is None:
         out.append(Violation("missing-outer-face", "boundary-free divide needs outer_face"))
 
-    # crossings carry exactly two transversal strand passages; both ports of
-    # a passage are in the rotation, as every walk step joins at one vertex
-    for v in d.crossings:
-        rot = d.rotations[v]
-        pas = d.passages.get(v, [])
-        if len(pas) != 2:
-            out.append(Violation("crossing-passages", f"crossing {v} has {len(pas)} passages"))
-            continue
-        pos = {h: k for k, h in enumerate(rot)}
-        for h_in, h_out, _ in pas:
-            if (pos[h_in] - pos[h_out]) % 4 != 2:
-                out.append(
-                    Violation(
-                        "strand-alternation",
-                        f"strands at crossing {v} do not alternate in the rotation",
-                    )
-                )
-
-    # every pair of branches must intersect; countable once every crossing
-    # has its two passages
-    if len(d.branches) > 1 and all(len(d.passages.get(v, [])) == 2 for v in d.crossings):
+    # every pair of branches must intersect
+    if len(d.branches) > 1:
         M = crossing_matrix(d)
         for i in range(len(d.branches)):
             for j in range(i + 1, len(d.branches)):
@@ -300,19 +261,16 @@ def validate(d: Divide) -> list[Violation]:
 
     # planarity / disc consistency via Euler characteristic of the
     # augmented map
-    try:
-        comp = _component_count(d)
-        V = len(d.rotations)
-        E = d.n_edges + len(d.arc_ids)
-        F = len(d.faces)
-        if comp != 1:
-            out.append(Violation("disconnected", f"map has {comp} components"))
-        elif V - E + F != 2:
-            out.append(
-                Violation("non-planar", f"Euler characteristic {V - E + F} != 2")
-            )
-    except StructureError as exc:
-        out.append(Violation("face-structure", str(exc)))
+    comp = _component_count(d)
+    V = len(d.rotations)
+    E = d.n_edges + len(d.arc_ids)
+    F = len(d.faces)
+    if comp != 1:
+        out.append(Violation("disconnected", f"map has {comp} components"))
+    elif V - E + F != 2:
+        out.append(
+            Violation("non-planar", f"Euler characteristic {V - E + F} != 2")
+        )
     return out
 
 
@@ -380,14 +338,13 @@ def two_coloring(d: Divide) -> dict[int, int]:
 
 def crossing_matrix(d: Divide) -> list[list[int]]:
     """Symmetric branch-by-branch crossing counts; diagonal holds
-    self-crossings."""
+    self-crossings.  The strands through a crossing hold its slots 0, 2
+    and 1, 3."""
     nb = len(d.branches)
     M = [[0] * nb for _ in range(nb)]
     for v in d.crossings:
-        pas = d.passages.get(v, [])
-        if len(pas) != 2:
-            raise DivideError(f"crossing {v} has {len(pas)} strand passages")
-        b1, b2 = pas[0][2], pas[1][2]
+        rot = d.rotations[v]
+        b1, b2 = d.branch_of_edge[abs(rot[0])], d.branch_of_edge[abs(rot[1])]
         if b1 == b2:
             M[b1][b1] += 1
         else:
@@ -480,17 +437,18 @@ def divide_to_json(d: Divide) -> dict:
 
 
 def divide_from_json(obj: dict) -> Divide:
+    """The divide of a divide_to_json object; the stored crossing count and
+    branch walks, where present, must be those of the rotation system."""
     try:
         d = Divide(
-            [(b["closed"], b["walk"]) for b in obj["branches"]],
             {int(v): rot for v, rot in obj["rotations"].items()},
             obj.get("boundary", ()),
             obj.get("outer_face"),
         )
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed divide JSON: {exc}") from exc
-    if "crossings" in obj and int(obj["crossings"]) != len(d.crossings):
-        raise StructureError(
-            f"crossings field {obj['crossings']} disagrees with rotation system ({len(d.crossings)})"
-        )
+    written = divide_to_json(d)
+    for key in ("crossings", "branches"):
+        if key in obj and obj[key] != written[key]:
+            raise StructureError(f"{key} field {obj[key]} disagrees with the rotation system ({written[key]})")
     return d

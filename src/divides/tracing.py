@@ -33,10 +33,8 @@ Assembly is built on ports, the places where strands end: a node stub
 ("rim", (side, index), 0) numbered counterclockwise from the corner
 (-W, -W), and the two ends ("marker", l, 0) and ("marker", l, 1) of
 a crossing-free loop, which is one more strand after all the others.  One
-table (vertex, slot) -> half-edge gives every rotation.  A branch goes
-straight through a vertex of valence n from slot s to slot s + n/2 (mod n)
-and ends at valence 1; open branches start from the rim in boundary order,
-closed ones from their least unused edge.
+table (vertex, slot) -> half-edge gives every rotation, from which the
+Divide derives its branch walks.
 """
 from __future__ import annotations
 
@@ -370,28 +368,6 @@ def _assemble(infos, strand_ends, edge_paths) -> Divide:
         except KeyError as exc:
             raise TraceError("assembly", f"no strand attached to port {exc.args[0]}") from None
 
-    def branch(h0):
-        """Walk straight through each vertex from h0 until the rim or back."""
-        walk = [h0]
-        while True:
-            h = walk[-1]
-            kind, k, s = strand_ends[h - 1][1] if h > 0 else strand_ends[-h - 1][0]
-            n = VALENCE[kind]
-            if n == 1:
-                return False, walk
-            nxt = half_at[(kind, k, (s + n // 2) % n)]
-            if nxt == h0:
-                return True, walk
-            walk.append(nxt)
-
-    # open branches from their first boundary endpoint, then closed ones
-    # from their least edge
-    used: set[int] = set()
-    branches = []
-    for h0 in [half_at[(*v, 0)] for v in rims] + list(range(1, len(strand_ends) + 1)):
-        if abs(h0) not in used:
-            branches.append(branch(h0))
-            used.update(abs(h) for h in branches[-1][1])
     boundary = list(range(len(infos), len(infos) + len(rims)))
 
     outer_face = None
@@ -411,7 +387,7 @@ def _assemble(infos, strand_ends, edge_paths) -> Divide:
             raise TraceError("assembly", "cannot determine the outer face")
         outer_face = best[1]
 
-    divide = Divide(branches, rotations, boundary, outer_face)
+    divide = Divide(rotations, boundary, outer_face)
     problems = validate(divide)
     if problems:
         raise TraceError("validation", f"traced divide invalid: {problems[0].detail}")

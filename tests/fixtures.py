@@ -35,7 +35,6 @@ def circle_divide():
     """One crossing-free closed curve (traversed counterclockwise); a
     marker vertex carries the rotation."""
     return Divide(
-        branches=[(True, [1])],
         rotations={0: [1, -1]},
         boundary=[],
         outer_face=-1,
@@ -45,7 +44,6 @@ def circle_divide():
 def figure_eight_divide():
     """One closed branch with a single self-crossing."""
     return Divide(
-        branches=[(True, [1, 2])],
         rotations={0: [-1, -2, 2, 1]},
         boundary=[],
         outer_face=-1,
@@ -58,7 +56,6 @@ def node_divide():
     Endpoints sit at E(2), N(4), W(1), S(3) on the boundary circle.
     """
     return Divide(
-        branches=[(False, [1, 2]), (False, [3, 4])],
         rotations={
             0: [2, 4, -1, -3],
             1: [1],
@@ -73,7 +70,6 @@ def node_divide():
 def cusp_divide():
     """One open branch with a single loop: the ordinary-cusp divide."""
     return Divide(
-        branches=[(False, [1, 2, 3])],
         rotations={
             0: [-1, -2, 2, 3],
             1: [1],
@@ -87,7 +83,6 @@ def two_parabolas_divide():
     """Two smooth arcs crossing twice (a tangency pair morsified);
     boundary word (1,1,2,2)."""
     return Divide(
-        branches=[(False, [1, 2, 3]), (False, [4, 5, 6])],
         rotations={
             0: [-1, -4, 2, 5],
             1: [3, -5, -2, 6],
@@ -109,13 +104,12 @@ def two_cusps_divide():
 
 def segment_divide():
     """One crossing-free segment across the disc: no crossing, no inner region."""
-    return Divide([(False, [1])], {0: [1], 1: [-1]}, [0, 1])
+    return Divide({0: [1], 1: [-1]}, [0, 1])
 
 
 def disjoint_circles_divide():
     """Two crossing-free closed curves: violates the pairwise-crossing rule."""
     return Divide(
-        branches=[(True, [1]), (True, [2])],
         rotations={0: [1, -1], 1: [2, -2]},
         boundary=[],
         outer_face=-1,
@@ -128,10 +122,4 @@ def split_edge(d: Divide, e: int) -> Divide:
     n, m = d.n_edges + 1, max(d.rotations) + 1
     rotations = {v: [-n if h == -e else h for h in rot] for v, rot in d.rotations.items()}
     rotations[m] = [-e, n]
-    branches = []
-    for br in d.branches:
-        walk = []
-        for h in br.walk:
-            walk += [e, n] if h == e else [-n, -e] if h == -e else [h]
-        branches.append((br.closed, walk))
-    return Divide(branches, rotations, d.boundary, d.outer_face)
+    return Divide(rotations, d.boundary, d.outer_face)

@@ -12,7 +12,9 @@ references keep the tracer's array kernels honest: the evaluator as one
 einsum per partial, and the local minima of a grid by eight neighbour
 comparisons.  The strand artifacts are written again one point and one
 f-string at a time.  The AG diagram's region-region edges are found again
-from the divide's one-cells, its walks cut into edge chains.
+from the divide's one-cells, its walks cut into edge chains.  The branch
+walks are checked step by step against the rotations, and their order
+against the boundary and the edge ids.
 """
 from __future__ import annotations
 
@@ -508,3 +510,28 @@ def one_cell_region_edges(d) -> list[tuple[int, int]]:
             if f1 != f2 and f1 in vid and f2 in vid:
                 edges.append((min(vid[f1], vid[f2]), max(vid[f1], vid[f2])))
     return sorted(edges)
+
+
+def assert_canonical_branch_order(d):
+    """The walks cover every edge once and go straight through every vertex
+    they pass, open ones from endpoint to endpoint.  Open branches come
+    first, each walked from its endpoint that comes first in the boundary
+    and in the boundary order of those endpoints; closed branches walked
+    from their least edge, in the order of those edges."""
+    assert sorted(abs(h) for br in d.branches for h in br.walk) == list(range(1, d.n_edges + 1))
+    for br in d.branches:
+        w = br.walk
+        for h1, h2 in zip(w, w[1:] + w[:1]) if br.closed else zip(w, w[1:]):
+            rot = d.rotations[d.head(h1)]
+            assert (rot.index(h2) - rot.index(-h1)) % len(rot) == len(rot) // 2
+        if not br.closed:
+            assert len(d.rotations[d.origin(w[0])]) == len(d.rotations[d.head(w[-1])]) == 1
+    closed = [br.closed for br in d.branches]
+    assert closed == sorted(closed)
+    at = {v: idx for idx, v in enumerate(d.boundary)}
+    ends = [(at[d.origin(br.walk[0])], at[d.head(br.walk[-1])]) for br in d.branches if not br.closed]
+    assert all(first < last for first, last in ends)
+    assert ends == sorted(ends)
+    starts = [br.walk[0] for br in d.branches if br.closed]
+    assert starts == [min(abs(h) for h in br.walk) for br in d.branches if br.closed]
+    assert starts == sorted(starts)

@@ -1,6 +1,7 @@
 import pytest
 
 from divides.divide import (
+    Branch,
     Divide,
     DivideError,
     StructureError,
@@ -21,30 +22,45 @@ from fixtures import (
     disjoint_circles_divide,
     figure_eight_divide,
     node_divide,
+    segment_divide,
+    split_edge,
+    two_cusps_divide,
     two_parabolas_divide,
 )
+from oracles import assert_canonical_branch_order
 
 
 SMOOTH = BranchType((1,))
 CUSP = BranchType((2, 3))
+FIXTURES = (
+    circle_divide,
+    figure_eight_divide,
+    node_divide,
+    cusp_divide,
+    two_parabolas_divide,
+    two_cusps_divide,
+    segment_divide,
+    disjoint_circles_divide,
+)
 
 
 class TestStructure:
-    def test_walk_must_cover_edges(self):
-        with pytest.raises(StructureError):
-            Divide([(True, [1])], {0: [1, -1, 2, -2]}, [], -1)
-
-    def test_broken_walk(self):
-        with pytest.raises(StructureError):
-            Divide(
-                [(False, [1, 2])],
-                {0: [1], 1: [-1], 2: [2], 3: [-2]},
-                [0, 2, 1, 3],
-            )
-
     def test_duplicate_half_edge(self):
         with pytest.raises(StructureError):
-            Divide([(True, [1])], {0: [1, 1, -1, -1]}, [], -1)
+            Divide({0: [1, 1, -1, -1]}, [], -1)
+
+    @pytest.mark.parametrize(
+        "rotations, boundary",
+        [
+            ({0: [1, 2, 3], 1: [-1], 2: [-2], 3: [-3]}, [1, 2, 3]),
+            ({0: [1, -1]}, [0]),
+            ({0: [1], 1: [-1]}, [0, 2]),
+        ],
+        ids=["three-valent", "two-valent-boundary", "missing-boundary"],
+    )
+    def test_underivable_walks_rejected(self, rotations, boundary):
+        with pytest.raises(StructureError):
+            Divide(rotations, boundary)
 
     def test_json_roundtrip_bit_exact(self):
         import json
@@ -59,6 +75,34 @@ class TestStructure:
         obj["crossings"] = 7
         with pytest.raises(StructureError):
             divide_from_json(obj)
+
+    def test_json_branches_consistency(self):
+        obj = divide_to_json(node_divide())
+        obj["branches"][0]["walk"] = [1, 2]
+        with pytest.raises(StructureError):
+            divide_from_json(obj)
+
+
+class TestBranchWalks:
+    def test_derived_walks(self):
+        assert [br.walk for br in node_divide().branches] == [(-2, -1), (-4, -3)]
+        assert [br.walk for br in two_parabolas_divide().branches] == [(-3, -2, -1), (4, 5, 6)]
+        assert [br.walk for br in figure_eight_divide().branches] == [(1, 2)]
+
+    @pytest.mark.parametrize("make", FIXTURES, ids=lambda make: make.__name__)
+    def test_fixtures_and_their_split_edges(self, make):
+        d = make()
+        assert_canonical_branch_order(d)
+        n = d.n_edges + 1
+        for e in range(1, n):
+            split = split_edge(d, e)
+            assert_canonical_branch_order(split)
+            # the walks pass the new marker straight through
+            expect = [
+                (br.closed, sum(([e, n] if h == e else [-n, -e] if h == -e else [h] for h in br.walk), []))
+                for br in d.branches
+            ]
+            assert [(br.closed, list(br.walk)) for br in split.branches] == expect, e
 
 
 class TestValidate:
@@ -78,25 +122,18 @@ class TestValidate:
         assert "branches-disjoint" in codes
 
     def test_missing_outer_face(self):
-        d = Divide([(True, [1])], {0: [1, -1]}, [])
+        d = Divide({0: [1, -1]}, [])
         codes = {v.code for v in validate(d)}
         assert "missing-outer-face" in codes
 
-    def test_strand_alternation_violation(self):
-        # figure-eight with non-alternating rotation
-        d = Divide([(True, [1, 2])], {0: [-1, 2, -2, 1]}, [], -1)
-        codes = {v.code for v in validate(d)}
-        assert "strand-alternation" in codes
-
     def test_crossing_without_passages_reported(self):
-        # each open branch is one edge looped at the same four-valent vertex,
-        # which no strand passes through, so no crossing matrix exists
-        d = divide_from_json({
-            "branches": [{"closed": False, "walk": [1]}, {"closed": False, "walk": [2]}],
-            "rotations": {"0": [1, -1, 2, -2]},
-        })
-        codes = [v.code for v in validate(d)]
-        assert codes == ["endpoint-count", "missing-outer-face", "crossing-passages"]
+        # two edges looped at one four-valent vertex cannot each be a branch
+        # that misses the crossing: going straight through it joins them into
+        # one closed branch that passes it twice
+        d = divide_from_json({"rotations": {"0": [1, -1, 2, -2]}})
+        assert d.branches == (Branch(True, (1, -2)),)
+        assert crossing_matrix(d) == [[1]]
+        assert [v.code for v in validate(d)] == ["missing-outer-face"]
 
     def test_euler_count_on_fixtures(self):
         d = node_divide()

@@ -23,7 +23,7 @@ from divides.singularity import BranchType, SingularityType, invariants_report
 from divides.tracing import TraceError, _nonzero, _seeds, trace_divide, trace_with_retries
 
 from fixtures import HANDPICKED, ellipse_composition, two_cusps_divide
-from oracles import einsum_evaluators, local_minima
+from oracles import assert_canonical_branch_order, einsum_evaluators, local_minima
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -40,21 +40,6 @@ def census_passes(d, s) -> bool:
             if check_against_type(d, s, assignment).ok:
                 return True
     return False
-
-
-def assert_canonical_branch_order(d):
-    """Open branches first, each walked from its endpoint that comes first
-    in the boundary and in the boundary order of those endpoints; closed
-    branches walked from their least edge, in the order of those edges."""
-    closed = [br.closed for br in d.branches]
-    assert closed == sorted(closed)
-    at = {v: idx for idx, v in enumerate(d.boundary)}
-    ends = [(at[d.origin(br.walk[0])], at[d.head(br.walk[-1])]) for br in d.branches if not br.closed]
-    assert all(first < last for first, last in ends)
-    assert ends == sorted(ends)
-    starts = [br.walk[0] for br in d.branches if br.closed]
-    assert starts == [min(abs(h) for h in br.walk) for br in d.branches if br.closed]
-    assert starts == sorted(starts)
 
 
 def assert_certified(family, traced):
