@@ -87,6 +87,8 @@ class Divide:
         for v in self.boundary:
             if len(self.rotations.get(v, ())) != 1:
                 raise StructureError(f"boundary vertex {v} is missing or not 1-valent")
+        if len(set(self.boundary)) != len(self.boundary):
+            raise StructureError("boundary lists a vertex twice")
         if self.outer_face is not None and self.outer_face not in seen_halves:
             raise StructureError(f"outer_face marker {self.outer_face} is not a half-edge")
 
@@ -236,9 +238,7 @@ def validate(d: Divide) -> list[Violation]:
     """Semantic checks; an empty list means the divide is valid."""
     out: list[Violation] = []
 
-    # boundary endpoints: distinct and exactly the 1-valent vertices
-    if len(set(d.boundary)) != len(d.boundary):
-        out.append(Violation("boundary-duplicates", "boundary endpoint listed twice"))
+    # boundary endpoints (distinct, by construction): exactly the 1-valent vertices
     if set(d.boundary) != set(d.endpoints):
         out.append(
             Violation(

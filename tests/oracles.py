@@ -4,7 +4,8 @@ These deliberately recompute quantities by different routes than the
 library: a literal blow-up of exact Puiseux parametrizations for the
 multiplicity sequence and delta, the conductor formula for delta,
 sympy rational-function arithmetic for Alexander polynomials, a
-complete bounded search over conjugate-pair types for the decoder, the
+complete bounded search over conjugate-pair types for the decoder, their
+enumeration by filtering every tuple of a box through validation, the
 pair intersection as a literal sum over roots of unity, and
 the deformation families as exact sympy expressions, multiplied out
 symbolically, for the numeric coefficient matrices.  Two numeric
@@ -291,6 +292,35 @@ def search_preimages(v: CycloVector, s_cap: int) -> list[ConjPairType]:
         for i in range(s):
             rec_n(s, i, [], 0)
     return found
+
+
+def enumerate_conj_pair_types_reference(s_max: int, n_max: int, m_max: int):
+    """All valid types with s <= s_max, n_j <= n_max, m_j <= m_max, by
+    recursion over every tuple in the box and filtering by validation."""
+
+    def rec_m(s, i, n, m, j):
+        if j == s:
+            try:
+                yield ConjPairType(s, i, tuple(m), tuple(n))
+            except InvalidConjPair:
+                pass
+            return
+        lo = n[0] if j == 0 else m[j - 1] * n[j] + 1
+        for mj in range(lo, m_max + 1):
+            if gcd(mj, n[j]) == 1:
+                yield from rec_m(s, i, n, m + [mj], j + 1)
+
+    def rec_n(s, i, n, j):
+        if j == s:
+            yield from rec_m(s, i, n, [], 0)
+            return
+        lo = 1 if j == i else 2
+        for nj in range(lo, n_max + 1):
+            yield from rec_n(s, i, n + [nj], j + 1)
+
+    for s in range(1, s_max + 1):
+        for i in range(s):
+            yield from rec_n(s, i, [], 0)
 
 
 def pair_intersection_bruteforce(T: ConjPairType) -> int | None:

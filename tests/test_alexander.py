@@ -1,6 +1,8 @@
 import random
 from collections import Counter
-from math import prod
+from itertools import product
+from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +31,12 @@ from divides.alexander import (
 )
 from divides.singularity import BranchType, branch_delta, milnor_number
 
-from oracles import delta_conductor, pair_intersection_bruteforce, search_preimages
+from oracles import (
+    delta_conductor,
+    enumerate_conj_pair_types_reference,
+    pair_intersection_bruteforce,
+    search_preimages,
+)
 
 
 NODE = ConjPairType(1, 0, (1,), (1,))
@@ -385,6 +392,14 @@ class TestProperties:
         assert branch_delta(BranchType(exps)) == delta_conductor(exps)
 
 
+class TestEnumerate:
+    @pytest.mark.parametrize("bounds, count", [((4, 5, 40), 19358), ((3, 7, 40), 18638)], ids=["4-5-40", "3-7-40"])
+    def test_same_sequence_as_filtering_by_validation(self, bounds, count):
+        types = list(enumerate_conj_pair_types(*bounds))
+        assert len(types) == count
+        assert types == list(enumerate_conj_pair_types_reference(*bounds))
+
+
 class TestPairIntersection:
     def test_conj_cusp(self):
         assert pair_intersection(CONJ_CUSP) == 4
@@ -426,11 +441,36 @@ class TestPairIntersection:
             assert pair_intersection(T) == oracle(T), T
 
     def test_stored_value_against_bruteforce(self):
-        types = list(enumerate_conj_pair_types(3, 5, 30))
-        assert len(types) == 5132
+        types = list(enumerate_conj_pair_types(4, 5, 40))
+        assert len(types) == 19358
         for T in types:
             assert T.intersection == pair_intersection(T) == pair_intersection_bruteforce(T), T
             assert conj_pair_singularity(T).intersections == ((0, T.intersection), (T.intersection, 0))
+
+    def test_odd_split_slot_never_coincides(self):
+        # the lemma behind the closed form: once n_{i+1} is odd, some tau-
+        # exponent separates the expansions at every root of unity; checked
+        # on raw tuples that pass every check but the parity one
+        def raw_tuples(s_max, n_max, m_max):
+            for s in range(1, s_max + 1):
+                for i in range(s):
+                    for n in product(*(range(1 if j == i else 2, n_max + 1) for j in range(s))):
+                        ms = [()]
+                        for nj in n:
+                            ms = [m + (mj,) for m in ms
+                                  for mj in range(m[-1] * nj + 1 if m else n[0], m_max + 1) if gcd(mj, nj) == 1]
+                        for m in ms:
+                            yield SimpleNamespace(s=s, i=i, m=m, n=n)
+
+        parity = Counter()
+        for T in raw_tuples(3, 6, 24):
+            brute = pair_intersection_bruteforce(T)
+            if T.n[T.i] % 2:
+                assert brute is not None and brute == ConjPairType(T.s, T.i, T.m, T.n).intersection, T
+            parity[T.n[T.i] % 2, brute is None] += 1
+        # 176 tuples with an even n_{i+1} do give coincident expansions: the
+        # lemma needs its parity hypothesis
+        assert parity == {(1, False): 2349, (0, False): 110, (0, True): 176}
 
     def test_stored_value_is_not_part_of_the_type(self):
         # ConjPairType(1, 0, (3,), (2,)) is not a type: n_1 = 2 is even

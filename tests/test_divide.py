@@ -55,8 +55,9 @@ class TestStructure:
             ({0: [1, 2, 3], 1: [-1], 2: [-2], 3: [-3]}, [1, 2, 3]),
             ({0: [1, -1]}, [0]),
             ({0: [1], 1: [-1]}, [0, 2]),
+            ({0: [1], 1: [-1]}, [0, 1, 0]),
         ],
-        ids=["three-valent", "two-valent-boundary", "missing-boundary"],
+        ids=["three-valent", "two-valent-boundary", "missing-boundary", "repeated-boundary"],
     )
     def test_underivable_walks_rejected(self, rotations, boundary):
         with pytest.raises(StructureError):
