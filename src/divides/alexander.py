@@ -12,8 +12,9 @@ comparing with the input alone decides membership (the encoding is
 injective).  The comparison is made in factor form, against the peel
 sequence itself: t^N - 1 is the product of Phi_d over d | N, so
 to_cyclotomic is unitriangular in the divisor order and peeling is its
-exact inverse, and F and v agree after to_cyclotomic exactly when F's
-factors are v's peel entries.
+exact inverse, the Moebius inversion F[N] = sum_{N | d} mu(d/N) v[d], and
+F and v agree after to_cyclotomic exactly when F's factors are v's peel
+entries.
 """
 from __future__ import annotations
 
@@ -212,11 +213,13 @@ class _Exponents:
         for d, k in zip(map(int, exps), map(int, exps.values())):
             if d < 1:
                 raise ValueError(f"{type(self).__name__} indices must be >= 1")
-            if d in clean:  # int() merged two keys
-                k += clean.pop(d)
-            if k:
-                clean[d] = k
-        setattr(self, self.field, dict(sorted(clean.items())))
+            clean[d] = clean.get(d, 0) + k  # int() may merge two keys
+        self._normalise(clean)
+
+    def _normalise(self, exps: dict[int, int]):
+        """Store exps, int indices >= 1 to ints, zeros dropped and sorted."""
+        setattr(self, self.field, {d: k for d, k in sorted(exps.items()) if k})
+        return self
 
     def __eq__(self, other):
         return type(other) is type(self) and getattr(self, self.field) == getattr(other, self.field)
@@ -251,7 +254,7 @@ def to_cyclotomic(F: FactorForm) -> CycloVector:
     for N, k in F.factors.items():
         for d in divisors(N):
             exps[d] = exps.get(d, 0) + k
-    return CycloVector(exps)
+    return CycloVector.__new__(CycloVector)._normalise(exps)
 
 
 @lru_cache(maxsize=None)
@@ -296,26 +299,28 @@ def alexander_encode(T: ConjPairType) -> FactorForm:
     with n = n_1 .. n_s, w from w_sequence and
     e_j = w_{i+1} b_{i+1,s} b_{i+2,j-1} + w_j b_{j+1,s}.
     """
+    return FactorForm.__new__(FactorForm)._normalise(_factor_map(T))
+
+
+def _factor_map(T: ConjPairType) -> dict[int, int]:
+    """The factors of alexander_encode(T) as N -> k, merged but with zeros
+    kept."""
     s, i, n = T.s, T.i, T.n
     w = w_sequence(T.m, n)
     suf = _suffix_products(n)
-    fac: dict[int, int] = {}
-
-    def add(N, k):
-        fac[N] = fac.get(N, 0) + k
-
-    add(1, 1)
-    add(2 * suf[0], -1)
+    fac = {1: 1, 2 * suf[0]: -1}
     for j in range(1, i + 1):  # 1-based j <= i
-        add(2 * w[j - 1] * suf[j - 1], +1)
-        add(2 * w[j - 1] * suf[j], -1)
-    add(2 * w[i] * suf[i], +2)
-    add(2 * w[i] * suf[i + 1], -1)
+        U, L = 2 * w[j - 1] * suf[j - 1], 2 * w[j - 1] * suf[j]
+        fac[U] = fac.get(U, 0) + 1
+        fac[L] = fac.get(L, 0) - 1
+    S, L = 2 * w[i] * suf[i], 2 * w[i] * suf[i + 1]
+    fac[S] = fac.get(S, 0) + 2
+    fac[L] = fac.get(L, 0) - 1
     for j in range(i + 2, s + 1):
         e = w[i] * suf[i] * (suf[i + 1] // suf[j - 1]) + w[j - 1] * suf[j]
-        add(n[j - 1] * e, +2)
-        add(e, -2)
-    return FactorForm(fac)
+        fac[n[j - 1] * e] = fac.get(n[j - 1] * e, 0) + 2
+        fac[e] = fac.get(e, 0) - 2
+    return fac
 
 
 # --- peel decomposition and decoding ----------------------------------------
@@ -323,7 +328,7 @@ def alexander_encode(T: ConjPairType) -> FactorForm:
 
 def peel_sequence(v: CycloVector) -> tuple[tuple[int, int], ...]:
     """Repeatedly strip (t^d - 1)^eps at the maximal cyclotomic index; the
-    (d, eps) entries, d strictly decreasing."""
+    (d, eps) entries, d strictly decreasing: the module docstring's inversion."""
     exps = dict(v.exps)
     entries: list[tuple[int, int]] = []
     while exps:
@@ -399,7 +404,7 @@ def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
         T = ConjPairType(*_read_peel(entries))
     except InvalidConjPair as exc:
         raise NotInImage(f"read-off parameters are not a valid type: {exc}") from exc
-    if alexander_encode(T).factors != dict(entries):
+    if {N: k for N, k in _factor_map(T).items() if k} != dict(entries):
         raise NotInImage("read-off type does not re-encode to this vector")
     return T
 

@@ -29,23 +29,24 @@ class BranchType:
     char_exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(v) for v in self.char_exponents)
+        exps = tuple(map(int, self.char_exponents))
         object.__setattr__(self, "char_exponents", exps)
         if not exps:
             raise InvalidSingularity("a branch needs at least the multiplicity exponent")
-        if any(v < 1 for v in exps):
+        if min(exps) < 1:
             raise InvalidSingularity(f"exponents must be positive: {exps}")
         if exps[0] == 1 and len(exps) > 1:
             raise InvalidSingularity("a smooth branch has no characteristic exponents beyond (1,)")
-        if any(b >= c for b, c in zip(exps, exps[1:])):
-            raise InvalidSingularity(f"exponents must be strictly increasing: {exps}")
-        e = exps[0]
-        for b in exps[1:]:
-            if b % e == 0:
-                raise InvalidSingularity(
-                    f"{b} is divisible by the current gcd {e}; not a characteristic exponent"
-                )
+        # one pass; a divisible exponent is raised only once no fall is left
+        e, divisible = exps[0], None
+        for a, b in zip(exps, exps[1:]):
+            if a >= b:
+                raise InvalidSingularity(f"exponents must be strictly increasing: {exps}")
+            if divisible is None and b % e == 0:
+                divisible = f"{b} is divisible by the current gcd {e}; not a characteristic exponent"
             e = gcd(e, b)
+        if divisible:
+            raise InvalidSingularity(divisible)
         if e != 1:
             raise InvalidSingularity(f"gcd chain of {exps} ends at {e}, expected 1")
 
@@ -113,45 +114,41 @@ class SingularityType:
     intersections: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "real_branches", tuple(self.real_branches))
-        object.__setattr__(self, "conj_pairs", tuple(self.conj_pairs))
-        n = self.slot_count
+        reals, pairs = tuple(self.real_branches), tuple(self.conj_pairs)
+        object.__setattr__(self, "real_branches", reals)
+        object.__setattr__(self, "conj_pairs", pairs)
+        n = len(reals) + 2 * len(pairs)
         if n == 0:
             raise InvalidSingularity("singularity needs at least one branch")
-        table = tuple(tuple(int(v) for v in row) for row in self.intersections)
+        table = tuple(tuple(map(int, row)) for row in self.intersections)
         if n == 1:
             table = table if table else ((0,),)
         if len(table) != n or any(len(row) != n for row in table):
             raise InvalidSingularity(f"intersection table must be {n}x{n}")
         object.__setattr__(self, "intersections", table)
-        doubled = tuple(b for b in self.conj_pairs for _ in (0, 1))
-        mult = [b.multiplicity for b in self.real_branches + doubled]  # per slot
-        for i in range(n):
-            if table[i][i] != 0:
+        mult = [b.multiplicity for b in reals] + [b.multiplicity for b in pairs for _ in (0, 1)]  # per slot
+        # conjugation symmetry (invariance under swapping each pair slot with
+        # its mirror, the conjugate branch's slot) is checked in the same pass
+        # and raised after it: in a symmetric table the first failure in row
+        # order lies above the diagonal, as (i, j) and (j, i) fail together
+        mirror = _mirror_slots(len(reals), n)
+        unmirrored = None
+        for i, row in enumerate(table):
+            if row[i] != 0:
                 raise InvalidSingularity("diagonal of the intersection table is unused, keep 0")
             for j in range(i + 1, n):
-                if table[i][j] != table[j][i]:
+                q, bound = row[j], mult[i] * mult[j]
+                if q != table[j][i]:
                     raise InvalidSingularity(f"intersection table not symmetric at ({i},{j})")
-                if table[i][j] < 1:
+                if q < 1:
                     raise InvalidSingularity(f"intersection ({i},{j}) must be >= 1")
-                mi, mj = mult[i], mult[j]
-                if table[i][j] < mi * mj:
-                    raise InvalidSingularity(
-                        f"intersection ({i},{j})={table[i][j]} below multiplicity bound {mi * mj}"
-                    )
-        # conjugation symmetry: the table must be invariant under swapping
-        # each pair slot with its mirror, the slot of the conjugate branch
-        mirror = _mirror_slots(len(self.real_branches), n)
-        for i in range(n):
-            for j in range(n):
+                if q < bound:
+                    raise InvalidSingularity(f"intersection ({i},{j})={q} below multiplicity bound {bound}")
                 mi, mj = mirror[i], mirror[j]
-                if mi == mj:  # also when i == j
-                    continue
-                if table[i][j] != table[mi][mj]:
-                    raise InvalidSingularity(
-                        f"conjugation symmetry violated: ({i},{j})={table[i][j]} vs "
-                        f"({mi},{mj})={table[mi][mj]}"
-                    )
+                if unmirrored is None and q != table[mi][mj]:
+                    unmirrored = f"conjugation symmetry violated: ({i},{j})={q} vs ({mi},{mj})={table[mi][mj]}"
+        if unmirrored:
+            raise InvalidSingularity(unmirrored)
 
     @property
     def re_br(self) -> int:
@@ -277,29 +274,23 @@ def invariants_report(s: SingularityType) -> dict:
     one) and one delta.  The table is symmetric with a zero diagonal, so
     its pairwise sum is half its total."""
     re_br, im_br = len(s.real_branches), len(s.conj_pairs)
-    kinds = [("real",)] * re_br + [("conj", "conj_mirror")] * im_br
-    slots = []  # (kind, branch, multiplicity sequence, delta) in slot order
-    for b, ks in zip(s.real_branches + s.conj_pairs, kinds):
+    delta = sum(map(sum, s.intersections)) // 2
+    multiplicity, branches = 0, []
+    for b in s.real_branches + s.conj_pairs:
         seq = multiplicity_sequence(b)
         d = sum(m * (m - 1) // 2 for m in seq)
-        slots += [(kind, b, seq, d) for kind in ks]
-    delta = sum(d for *_, d in slots) + sum(map(sum, s.intersections)) // 2
+        for kind in ("real",) if len(branches) < re_br else ("conj", "conj_mirror"):
+            branches.append({"slot": len(branches), "kind": kind, "char_exponents": list(b.char_exponents),
+                             "multiplicity_sequence": list(seq), "delta": d})
+            multiplicity += b.multiplicity
+            delta += d
     return {
-        "multiplicity": sum(b.multiplicity for _, b, _, _ in slots),
+        "multiplicity": multiplicity,
         "delta": delta,
         "milnor": 2 * delta - re_br - 2 * im_br + 1,
         "re_br": re_br,
         "im_br": im_br,
         "expected_nodes": delta - im_br,
         "expected_inner_regions": delta - re_br - im_br + 1,
-        "branches": [
-            {
-                "slot": k,
-                "kind": kind,
-                "char_exponents": list(b.char_exponents),
-                "multiplicity_sequence": list(seq),
-                "delta": d,
-            }
-            for k, (kind, b, seq, d) in enumerate(slots)
-        ],
+        "branches": branches,
     }

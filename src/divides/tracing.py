@@ -35,6 +35,12 @@ Assembly is built on ports, the places where strands end: a node stub
 a crossing-free loop, which is one more strand after all the others.  One
 table (vertex, slot) -> half-edge gives every rotation, from which the
 Divide derives its branch walks.
+
+A real branch crosses the boundary of a Milnor ball twice and a conjugate
+pair not at all.  The square window stands in for that ball, so when the
+family states its singularity the zero set must meet the rim in exactly
+2 ReBr endpoints; any other count (a pair's oval clipped by the window,
+say) raises the reason "window" before the walk.
 """
 from __future__ import annotations
 
@@ -160,8 +166,9 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
 
     Raises TraceError when the numerics cannot certify the picture
     (a shallow crossing, a node too close to the window rim or to another
-    node, a cut-end count mismatch).  A wrong node count is
-    reported in the result, not raised, so the retry wrapper can decide.
+    node, a cut-end count mismatch, a rim endpoint count other than
+    2 ReBr).  A wrong node count is reported in the result, not raised, so
+    the retry wrapper can decide.
     """
     if grid_n < 64:
         raise TraceError("parameters", "grid_n must be at least 64")
@@ -306,7 +313,11 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
         port_of.update((p, ("node", k, s)) for s, p in enumerate(ends))
     # a rim port is a point of degree 1 on an edge of the window frame
     along, across = np.concatenate([hi, vj]), np.concatenate([hj, vi])
-    for p in np.flatnonzero((nb[:, 0] >= 0) & (nb[:, 1] < 0) & ((across == 0) | (across == grid_n))).tolist():
+    rim = np.flatnonzero((nb[:, 0] >= 0) & (nb[:, 1] < 0) & ((across == 0) | (across == grid_n))).tolist()
+    sing = family.singularity
+    if sing is not None and len(rim) != 2 * sing.re_br:
+        raise TraceError("window", f"{len(rim)} rim endpoints, but {sing.re_br} real branches need {2 * sing.re_br}")
+    for p in rim:
         side = (2 if across[p] else 0) if p < nh else (1 if across[p] else 3)
         port_of[p] = ("rim", (side, int(along[p]) if side < 2 else -int(along[p])), 0)
 

@@ -12,15 +12,18 @@ symbolically, for the numeric coefficient matrices.  Two numeric
 references keep the tracer's array kernels honest: the evaluator as one
 einsum per partial, and the local minima of a grid by eight neighbour
 comparisons.  The strand artifacts are written again one point and one
-f-string at a time.  The AG diagram's region-region edges are found again
-from the divide's one-cells, its walks cut into edge chains.  The branch
-walks are checked step by step against the rotations, and their order
-against the boundary and the edge ids.
+f-string at a time.  The codec's exponent maps are normalised again the
+way they were before the module shared one normaliser, and peeled again
+by summing the Moebius inversion.  The AG diagram's region-region edges
+are found again from the divide's one-cells, its walks cut into edge
+chains.  The branch walks are checked step by step against the
+rotations, and their order against the boundary and the edge ids.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, inf, prod
 from typing import Callable
@@ -226,6 +229,35 @@ def small_branch_grid(max_b0=6, max_exp=25, max_len=3):
     for b0 in range(2, max_b0 + 1):
         extend((b0,), b0)
     return out
+
+
+def exponents_reference(cls, exps: dict[int, int]) -> dict[int, int]:
+    """The map a FactorForm or CycloVector (cls) stores for exps, by the
+    constructor as it stood before the codec shared one normaliser."""
+    clean: dict[int, int] = {}
+    for d, k in zip(map(int, exps), map(int, exps.values())):
+        if d < 1:
+            raise ValueError(f"{cls.__name__} indices must be >= 1")
+        if d in clean:  # int() merged two keys
+            k += clean.pop(d)
+        if k:
+            clean[d] = k
+    return dict(sorted(clean.items()))
+
+
+def peel_by_moebius(v: CycloVector) -> tuple[tuple[int, int], ...]:
+    """The factor form F with to_cyclotomic(F) = v, summed directly as
+    F[N] = sum_{N | d} mu(d/N) v[d], entries by decreasing N."""
+    F: dict[int, int] = {}
+    for d, k in v.exps.items():
+        for N, mu in _moebius_terms(d):
+            F[N] = F.get(N, 0) + mu * k
+    return tuple(sorted(((N, k) for N, k in F.items() if k), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _moebius_terms(d: int) -> tuple[tuple[int, int], ...]:
+    return tuple((N, int(sympy.mobius(d // N))) for N in sympy.divisors(d))
 
 
 def search_preimages(v: CycloVector, s_cap: int) -> list[ConjPairType]:

@@ -15,6 +15,7 @@ from divides.alexander import (
     NodeType,
     NotInImage,
     _cyclotomic_coeffs,
+    _factor_map,
     alexander_decode,
     alexander_encode,
     branch_char_exponents,
@@ -34,7 +35,9 @@ from divides.singularity import BranchType, branch_delta, milnor_number
 from oracles import (
     delta_conductor,
     enumerate_conj_pair_types_reference,
+    exponents_reference,
     pair_intersection_bruteforce,
+    peel_by_moebius,
     search_preimages,
 )
 
@@ -254,6 +257,53 @@ class TestPeelInvertsCyclotomic:
         for T in types:
             F = alexander_encode(T)
             assert dict(peel_sequence(to_cyclotomic(F))) == F.factors, T
+
+
+def random_exponent_maps(seed, count):
+    """Seeded int maps over indices 1..200 with exponents -3..3, zeros and
+    negative exponents included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield {rng.randint(1, 200): rng.randint(-3, 3) for _ in range(rng.randint(0, 10))}
+
+
+class TestAgainstReferences:
+    """The shared normaliser and the peel against exponents_reference, the
+    constructor as it stood before, and peel_by_moebius, the closed form."""
+
+    def test_every_encoding(self):
+        for T in enumerate_conj_pair_types(4, 5, 40):
+            F = alexander_encode(T)
+            assert list(F.factors.items()) == list(exponents_reference(FactorForm, _factor_map(T)).items()), T
+            v = to_cyclotomic(F)
+            assert list(v.exps.items()) == list(exponents_reference(CycloVector, v.exps).items()), T
+            assert peel_sequence(v) == peel_by_moebius(v), T
+
+    def test_random_maps(self):
+        for exps in random_exponent_maps(26, 3000):
+            for cls in (FactorForm, CycloVector):
+                got = getattr(cls(exps), cls.field)
+                assert list(got.items()) == list(exponents_reference(cls, exps).items()), exps
+            v = CycloVector(exps)
+            assert peel_sequence(v) == peel_by_moebius(v), exps
+            F = FactorForm(exps)
+            assert peel_sequence(to_cyclotomic(F)) == tuple(sorted(F.factors.items(), reverse=True)), exps
+
+    @pytest.mark.parametrize(
+        "exps",
+        [{0: 1}, {-3: 1, 2: 1}, {2: 1, 0: 0}, {"x": 1}, {None: 1}, {2: "a"}, {2: None},
+         {1: 1, "1": -1}, {2.5: 1, 2: 1}, {True: 1, 1.0: 2}, {"2": "3", 2: -3}, {3: 1.9}],
+    )
+    def test_malformed_maps_raise_alike(self, exps):
+        for cls in (FactorForm, CycloVector):
+            try:
+                want = exponents_reference(cls, exps)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as got:
+                    cls(exps)
+                assert str(got.value) == str(exc)
+            else:
+                assert getattr(cls(exps), cls.field) == want
 
 
 class TestDecode:

@@ -5,6 +5,7 @@ from divides.divide import (
     Divide,
     DivideError,
     StructureError,
+    Violation,
     check_against_type,
     crossing_matrix,
     divide_from_json,
@@ -118,9 +119,22 @@ class TestValidate:
             assert validate(d) == []
 
     def test_disjoint_circles_flagged(self):
-        violations = validate(disjoint_circles_divide())
-        codes = {v.code for v in violations}
-        assert "branches-disjoint" in codes
+        assert validate(disjoint_circles_divide()) == [
+            Violation("branches-disjoint", "branches 0 and 1 never cross"),
+            Violation("disconnected", "map has 2 components"),
+        ]
+
+    def test_boundary_mismatch(self):
+        # an arc with both ends 1-valent, only one of them on the boundary
+        assert validate(Divide({0: [1], 1: [-1]}, [0])) == [
+            Violation("boundary-mismatch", "boundary list [0] vs 1-valent vertices [0, 1]")
+        ]
+
+    def test_non_planar(self):
+        # two loops at one vertex, interleaved in its rotation: a torus map
+        assert validate(Divide({0: [1, 2, -1, -2]}, [], 1)) == [
+            Violation("non-planar", "Euler characteristic 0 != 2")
+        ]
 
     def test_missing_outer_face(self):
         d = Divide({0: [1, -1]}, [])

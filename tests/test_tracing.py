@@ -300,21 +300,39 @@ def test_retry_schedule(monkeypatch):
     assert calls == [{"t": t0, "grid_n": 512}, {"t": t0 / 2, "grid_n": 1024}, {"t": t0 / 4, "grid_n": 2048}]
 
 
-def test_census_refuses_the_clipped_circle():
+def test_clipped_circle_is_refused_by_its_rim_count():
     """A conjugate pair of smooth branches wants one closed branch around
-    one inner region.  At t0 with this tangent the window clips the oval
-    into one open arc with no node and no inner region, and the attempt
-    returns it: only the census refuses it.  Once trace_with_retries
-    certifies what it returns (ROADMAP item 6), this test expects a
-    TraceError instead."""
+    one inner region and no rim endpoint.  At t0 with this tangent the
+    window clips the oval into one open arc with two rim endpoints, so the
+    attempt raises "window" instead of returning a divide the census would
+    refuse."""
     family = family_smooth_conjugate([{2: 2j}], (1, 2))
-    traced = trace_with_retries(family, retries=0)
-    d = traced.divide
-    assert validate(d) == []
-    assert [br.closed for br in d.branches] == [False]
-    assert d.inner_faces == ()
-    assert invariants_report(family.singularity)["expected_inner_regions"] == 1
-    assert not census_passes(d, family.singularity)
+    assert family.singularity.re_br == 0
+    with pytest.raises(TraceError) as exc:
+        trace_with_retries(family, retries=0)
+    assert exc.value.reason == "retries-exhausted"
+    assert str(exc.value).endswith("2 rim endpoints, but 0 real branches need 0")
+    with pytest.raises(TraceError) as exc:
+        trace_divide(family)
+    assert exc.value.reason == "window"
+    assert str(exc.value) == "2 rim endpoints, but 0 real branches need 0"
+
+
+@pytest.mark.parametrize(
+    "branches, tangent",
+    [([{2: 2, 3: 2j}, {2: 2, 3: 3}], (0.5, -1)), ([{2: 2j}], (1, 2))],
+    ids=["two-pairs", "clipped-circle"],
+)
+def test_window_refusals_certify_on_their_retries(branches, tangent):
+    """The two sweep families whose traces the census once had to refuse
+    (s0d19 and s0d20) raise "window" at t0 and certify at (t0/4, 2048)."""
+    family = family_smooth_conjugate(branches, tangent)
+    with pytest.raises(TraceError) as exc:
+        trace_divide(family)
+    assert exc.value.reason == "window"
+    traced = trace_with_retries(family, retries=2)
+    assert (traced.meta.t, traced.meta.grid_n) == (family.t_default / 4, 2048)
+    assert_certified(family, traced)
 
 
 @pytest.mark.parametrize(
