@@ -7,13 +7,19 @@ vertices; 2-valent vertices are transparent markers (needed to carry
 crossing-free closed curves); 1-valent vertices are branch endpoints on the
 disc boundary.
 
+Construction refuses, with StructureError, every map that is not a
+connected planar disc map: a valence outside {1, 2, 4}; half-edges that
+are not +-e for e in 1..E, each at one vertex; a boundary vertex that is
+missing, not 1-valent or listed twice; a 1-valent vertex off the boundary;
+no boundary and no outer_face; and, once the boundary arcs are added, more
+than one component or an Euler characteristic other than 2.
+
 A branch is an immersed curve, so it goes straight through every crossing
 and the rotation system fixes every branch walk.  The walks are derived
 once: at a vertex of valence n a branch arriving in slot s leaves through
 slot s + n/2 (mod n), and it ends at valence 1.  Open branches start from
-rotations[v][0] for v in boundary order, then from any 1-valent vertex not
-on the boundary; closed branches start from +e, the least unused edge
-first.
+rotations[v][0] for v in boundary order; closed branches start from +e,
+the least unused edge first.
 
 Faces are computed from the rotation system augmented with the boundary
 arcs of the disc, so the complementary regions of the divide inside the
@@ -34,23 +40,13 @@ from .singularity import (
 
 
 class StructureError(ValueError):
-    """The planar-map data is malformed (as opposed to semantically invalid)."""
-
-
-class DivideError(ValueError):
-    """Operation applied to a divide that fails its semantic invariants."""
+    """The data is not a connected planar disc map (see the module docstring)."""
 
 
 @dataclass(frozen=True)
 class Branch:
     closed: bool
     walk: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    detail: str
 
 
 class Divide:
@@ -65,10 +61,13 @@ class Divide:
     # -- structural layer ---------------------------------------------------
 
     def _check_structure(self):
+        on_boundary = set(self.boundary)
         seen_halves: dict[int, int] = {}
         for v, rot in self.rotations.items():
             if len(rot) not in (1, 2, 4):
                 raise StructureError(f"vertex {v} has valence {len(rot)}")
+            if len(rot) == 1 and v not in on_boundary:
+                raise StructureError(f"1-valent vertex {v} is not on the boundary")
             for h in rot:
                 if h == 0:
                     raise StructureError(f"half-edge id 0 at vertex {v}")
@@ -87,10 +86,26 @@ class Divide:
         for v in self.boundary:
             if len(self.rotations.get(v, ())) != 1:
                 raise StructureError(f"boundary vertex {v} is missing or not 1-valent")
-        if len(set(self.boundary)) != len(self.boundary):
+        if len(on_boundary) != len(self.boundary):
             raise StructureError("boundary lists a vertex twice")
+        if not self.boundary and self.outer_face is None:
+            raise StructureError("boundary-free divide needs an outer_face marker")
         if self.outer_face is not None and self.outer_face not in seen_halves:
             raise StructureError(f"outer_face marker {self.outer_face} is not a half-edge")
+
+        # the augmented map is one planar map: connected, Euler characteristic 2
+        rot, origin, arc_ids = self._augmented
+        reached, stack = set(), [min(rot)]
+        while stack:
+            v = stack.pop()
+            if v not in reached:
+                reached.add(v)
+                stack += [origin[-h] for h in rot[v]]
+        if len(reached) != len(rot):
+            raise StructureError(f"map is disconnected: {len(rot) - len(reached)} of {len(rot)} vertices unreached")
+        euler = len(rot) - self._n_edges - len(arc_ids) + len(self.faces)
+        if euler != 2:
+            raise StructureError(f"Euler characteristic {euler} != 2")
 
     @property
     def n_edges(self) -> int:
@@ -105,10 +120,6 @@ class Divide:
     @cached_property
     def crossings(self) -> tuple[int, ...]:
         return tuple(sorted(v for v, rot in self.rotations.items() if len(rot) == 4))
-
-    @cached_property
-    def endpoints(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v, rot in self.rotations.items() if len(rot) == 1))
 
     @cached_property
     def branches(self) -> tuple[Branch, ...]:
@@ -127,7 +138,6 @@ class Divide:
                 walk.append(h)
 
         starts = [self.rotations[v][0] for v in self.boundary]
-        starts += [self.rotations[v][0] for v in self.endpoints if v not in self.boundary]
         used: set[int] = set()
         out = []
         for h0 in starts + list(range(1, self._n_edges + 1)):
@@ -214,8 +224,6 @@ class Divide:
         face when there are no endpoints)."""
         if self.boundary:
             return self.face_of[-self.arc_ids[0]]
-        if self.outer_face is None:
-            raise DivideError("boundary-free divide needs an outer_face marker")
         return self.face_of[self.outer_face]
 
     @cached_property
@@ -234,62 +242,12 @@ class Divide:
 # --- validation ---------------------------------------------------------------
 
 
-def validate(d: Divide) -> list[Violation]:
-    """Semantic checks; an empty list means the divide is valid."""
-    out: list[Violation] = []
-
-    # boundary endpoints (distinct, by construction): exactly the 1-valent vertices
-    if set(d.boundary) != set(d.endpoints):
-        out.append(
-            Violation(
-                "boundary-mismatch",
-                f"boundary list {sorted(d.boundary)} vs 1-valent vertices {list(d.endpoints)}",
-            )
-        )
-    if not d.boundary and d.outer_face is None:
-        out.append(Violation("missing-outer-face", "boundary-free divide needs outer_face"))
-
-    # every pair of branches must intersect
-    if len(d.branches) > 1:
-        M = crossing_matrix(d)
-        for i in range(len(d.branches)):
-            for j in range(i + 1, len(d.branches)):
-                if M[i][j] == 0:
-                    out.append(
-                        Violation("branches-disjoint", f"branches {i} and {j} never cross")
-                    )
-
-    # planarity / disc consistency via Euler characteristic of the
-    # augmented map
-    comp = _component_count(d)
-    V = len(d.rotations)
-    E = d.n_edges + len(d.arc_ids)
-    F = len(d.faces)
-    if comp != 1:
-        out.append(Violation("disconnected", f"map has {comp} components"))
-    elif V - E + F != 2:
-        out.append(
-            Violation("non-planar", f"Euler characteristic {V - E + F} != 2")
-        )
-    return out
-
-
-def _component_count(d: Divide) -> int:
-    """Connected components of the augmented map (union-find)."""
-    rot, origin, _ = d._augmented
-    parent = {v: v for v in rot}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for h, v in origin.items():
-        ra, rb = find(v), find(origin[-h])
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in parent})
+def validate(d: Divide) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of branches that never cross.  Every two
+    branches of a singularity's divide cross; this is the one such property
+    that construction, which checks the planar map, leaves open."""
+    M = crossing_matrix(d)
+    return [(i, j) for i, j in combinations(range(len(d.branches)), 2) if M[i][j] == 0]
 
 
 # --- two-coloring --------------------------------------------------------------
@@ -301,10 +259,13 @@ def two_coloring(d: Divide) -> dict[int, int]:
     Canonical choice: with endpoints, the region left of the first
     boundary arc gets +1; for a boundary-free divide the designated
     boundary-touching region gets -1.
+
+    Construction makes this always possible and unique.  Every vertex
+    inside the disc has even valence, and with the rim collapsed to one
+    point, that point has valence 2 * (open branches).  So the regions are
+    the faces of a connected planar map with only even valences: they have
+    a checkerboard coloring, and their adjacency graph is connected.
     """
-    problems = validate(d)
-    if problems:
-        raise DivideError(f"cannot color an invalid divide: {problems[0].detail}")
     # the regions of the disc: with endpoints, every face but the one beyond
     # the boundary circle; without them, every face
     outside = d.outside_face if d.boundary else None
@@ -326,10 +287,6 @@ def two_coloring(d: Divide) -> dict[int, int]:
             if g not in color:
                 color[g] = -color[f]
                 queue.append(g)
-            elif color[g] != -color[f]:
-                raise DivideError("complementary regions are not 2-colorable")
-    if set(color) != set(adj):
-        raise DivideError("region adjacency graph is disconnected; coloring not unique")
     return color
 
 

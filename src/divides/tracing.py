@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divide import Divide, validate
+from .divide import Divide, StructureError, validate
 from .families import FamilySpec
 
 LEVEL_TOL = 1e-9
@@ -398,10 +398,13 @@ def _assemble(infos, strand_ends, edge_paths) -> Divide:
             raise TraceError("assembly", "cannot determine the outer face")
         outer_face = best[1]
 
-    divide = Divide(rotations, boundary, outer_face)
-    problems = validate(divide)
-    if problems:
-        raise TraceError("validation", f"traced divide invalid: {problems[0].detail}")
+    try:
+        divide = Divide(rotations, boundary, outer_face)
+    except StructureError as exc:
+        raise TraceError("validation", f"traced divide invalid: {exc}") from None
+    disjoint = validate(divide)
+    if disjoint:
+        raise TraceError("validation", "traced divide invalid: branches %d and %d never cross" % disjoint[0])
     return divide
 
 

@@ -107,15 +107,6 @@ def segment_divide():
     return Divide({0: [1], 1: [-1]}, [0, 1])
 
 
-def disjoint_circles_divide():
-    """Two crossing-free closed curves: violates the pairwise-crossing rule."""
-    return Divide(
-        rotations={0: [1, -1], 1: [2, -2]},
-        boundary=[],
-        outer_face=-1,
-    )
-
-
 def split_edge(d: Divide, e: int) -> Divide:
     """d with a 2-valent marker in the middle of edge e: e now ends at the
     marker and a new last edge runs on from it to e's old head."""

@@ -3,9 +3,7 @@ import pytest
 from divides.divide import (
     Branch,
     Divide,
-    DivideError,
     StructureError,
-    Violation,
     check_against_type,
     crossing_matrix,
     divide_from_json,
@@ -20,7 +18,6 @@ from divides.tracing import trace_divide
 from fixtures import (
     circle_divide,
     cusp_divide,
-    disjoint_circles_divide,
     figure_eight_divide,
     node_divide,
     segment_divide,
@@ -41,7 +38,6 @@ FIXTURES = (
     two_parabolas_divide,
     two_cusps_divide,
     segment_divide,
-    disjoint_circles_divide,
 )
 
 
@@ -118,37 +114,40 @@ class TestValidate:
         ):
             assert validate(d) == []
 
-    def test_disjoint_circles_flagged(self):
-        assert validate(disjoint_circles_divide()) == [
-            Violation("branches-disjoint", "branches 0 and 1 never cross"),
-            Violation("disconnected", "map has 2 components"),
-        ]
+    def test_parallel_chords_never_cross(self):
+        # two chords with boundary word (1, 1, 2, 2): a disc map whose
+        # branches do not cross
+        d = Divide({0: [1], 1: [-1], 2: [2], 3: [-2]}, [0, 1, 3, 2])
+        assert validate(d) == [(0, 1)]
 
+    # the map checks of construction, one test per refusal
     def test_boundary_mismatch(self):
         # an arc with both ends 1-valent, only one of them on the boundary
-        assert validate(Divide({0: [1], 1: [-1]}, [0])) == [
-            Violation("boundary-mismatch", "boundary list [0] vs 1-valent vertices [0, 1]")
-        ]
+        with pytest.raises(StructureError, match="1-valent vertex 1 is not on the boundary"):
+            Divide({0: [1], 1: [-1]}, [0])
+
+    def test_missing_outer_face(self):
+        with pytest.raises(StructureError, match="boundary-free divide needs an outer_face marker"):
+            Divide({0: [1, -1]}, [])
+
+    def test_disjoint_circles_flagged(self):
+        # two crossing-free closed curves
+        with pytest.raises(StructureError, match="map is disconnected: 1 of 2 vertices unreached"):
+            Divide({0: [1, -1], 1: [2, -2]}, [], -1)
 
     def test_non_planar(self):
         # two loops at one vertex, interleaved in its rotation: a torus map
-        assert validate(Divide({0: [1, 2, -1, -2]}, [], 1)) == [
-            Violation("non-planar", "Euler characteristic 0 != 2")
-        ]
-
-    def test_missing_outer_face(self):
-        d = Divide({0: [1, -1]}, [])
-        codes = {v.code for v in validate(d)}
-        assert "missing-outer-face" in codes
+        with pytest.raises(StructureError, match="Euler characteristic 0 != 2"):
+            Divide({0: [1, 2, -1, -2]}, [], 1)
 
     def test_crossing_without_passages_reported(self):
         # two edges looped at one four-valent vertex cannot each be a branch
         # that misses the crossing: going straight through it joins them into
         # one closed branch that passes it twice
-        d = divide_from_json({"rotations": {"0": [1, -1, 2, -2]}})
+        d = divide_from_json({"rotations": {"0": [1, -1, 2, -2]}, "outer_face": -1})
         assert d.branches == (Branch(True, (1, -2)),)
         assert crossing_matrix(d) == [[1]]
-        assert [v.code for v in validate(d)] == ["missing-outer-face"]
+        assert validate(d) == []
 
     def test_euler_count_on_fixtures(self):
         d = node_divide()
@@ -210,16 +209,17 @@ class TestColoring:
         assert col[anchor] == 1
 
     def test_adjacent_faces_differ(self):
-        for d in (figure_eight_divide(), cusp_divide(), two_parabolas_divide()):
-            col = two_coloring(d)
-            for e in range(1, d.n_edges + 1):
-                f1, f2 = d.face_of[e], d.face_of[-e]
-                if f1 in col and f2 in col and f1 != f2:
-                    assert col[f1] != col[f2]
-
-    def test_invalid_divide_rejected(self):
-        with pytest.raises(DivideError):
-            two_coloring(disjoint_circles_divide())
+        # every region is colored and adjacent regions differ, on every
+        # fixture and every fixture with a marker splitting one edge
+        for d in (make() for make in FIXTURES):
+            for split in [d] + [split_edge(d, e) for e in range(1, d.n_edges + 1)]:
+                col = two_coloring(split)
+                outside = split.outside_face if split.boundary else None
+                assert set(col) == set(range(len(split.faces))) - {outside}
+                for e in range(1, split.n_edges + 1):
+                    f1, f2 = split.face_of[e], split.face_of[-e]
+                    if f1 != f2:
+                        assert col[f1] != col[f2]
 
 
 class TestCrossingMatrix:

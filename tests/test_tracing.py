@@ -58,7 +58,7 @@ def assert_certified(family, traced):
         (lambda: family_parabola_pair(3), 0),
         (lambda: family_smooth_conjugate([{2: 1}, {2: -1}]), 0),
         (lambda: family_one_puiseux_pair(3, 4, 1), 0),
-        # certifies on its grid-1024 retry; the first attempt fails validation
+        # certifies on its grid-1024 retry; the first attempt fails window
         (ellipse_composition, 1),
     ],
     ids=["parabola-pair-3", "smooth-conjugate", "one-pair-3-4", "ellipse-composition"],
@@ -319,19 +319,25 @@ def test_clipped_circle_is_refused_by_its_rim_count():
 
 
 @pytest.mark.parametrize(
-    "branches, tangent",
-    [([{2: 2, 3: 2j}, {2: 2, 3: 3}], (0.5, -1)), ([{2: 2j}], (1, 2))],
-    ids=["two-pairs", "clipped-circle"],
+    "branches, tangent, t_ratio, grid_n",
+    [
+        ([{2: 2, 3: 2j}, {2: 2, 3: 3}], (0.5, -1), 4, 2048),
+        ([{2: 2j}], (1, 2), 4, 2048),
+        ([{2: 2}], (0, 1), 2, 1024),
+    ],
+    ids=["two-pairs", "clipped-circle", "three-strands"],
 )
-def test_window_refusals_certify_on_their_retries(branches, tangent):
-    """The two sweep families whose traces the census once had to refuse
-    (s0d19 and s0d20) raise "window" at t0 and certify at (t0/4, 2048)."""
+def test_window_refusals_certify_on_their_retries(branches, tangent, t_ratio, grid_n):
+    """Three families that raise "window" at t0 and certify at
+    (t0/t_ratio, grid_n): the two sweep families whose traces the census once
+    had to refuse (s0d19 and s0d20), and one whose first attempt once traced
+    three rim-to-rim strands that never cross."""
     family = family_smooth_conjugate(branches, tangent)
     with pytest.raises(TraceError) as exc:
         trace_divide(family)
     assert exc.value.reason == "window"
     traced = trace_with_retries(family, retries=2)
-    assert (traced.meta.t, traced.meta.grid_n) == (family.t_default / 4, 2048)
+    assert (traced.meta.t, traced.meta.grid_n) == (family.t_default / t_ratio, grid_n)
     assert_certified(family, traced)
 
 
