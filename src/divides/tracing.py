@@ -18,6 +18,13 @@ contour-grid seeds do, while 256-cell seeds missed 8 in 5 of the draws.
 A saddle counts as a node only when |F|/scale <= LEVEL_TOL; its crossing
 angle comes from the Hessian in closed form.
 
+No grid is held whole: F on the contour grid and |grad F|^2 on the seed
+grid are evaluated STRIP_ROWS rows at a time, strips overlapping by one or
+two rows, and a strip keeps only F's extremes, its crossing edges with F at
+both ends and its crossing cells.  On one-pair-3-4 attempts at grids 512
+to 4096, 16-row strips took 15-30% longer than 32-row ones, while 64 and
+128 rows were no faster beyond noise and hold two to four times the rows.
+
 The contour is held as integer point ids, one per grid edge whose ends
 differ in sign: h-edge ((i, j) to (i+1, j)) crossings first, then v-edge
 ((i, j) to (i, j+1)) ones, each in np.nonzero order, with coordinates in a
@@ -55,6 +62,7 @@ from .families import FamilySpec
 LEVEL_TOL = 1e-9
 ANGLE_TOL = 1e-3
 SEED_CELLS = 512  # cells a side of the seed grid at most; see the module docstring
+STRIP_ROWS = 32  # grid rows evaluated at once; see the module docstring
 
 
 class TraceError(RuntimeError):
@@ -145,20 +153,54 @@ def _nonzero(mask):
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
+def _strips(xs, halo):
+    """(a, xs[a : a + STRIP_ROWS + halo]) for a = 0, STRIP_ROWS, ...: each
+    strip overlaps the next by halo rows, and the last has halo + 1 or more."""
+    for a in range(0, xs.size - halo, STRIP_ROWS):
+        yield a, xs[a : a + STRIP_ROWS + halo]
+
+
 def _seeds(gradient, xs, ys):
     """The interior points of the grid (xs, ys) where |grad F|^2 is no larger
     than the least of its 3x3 block, found separably in the gradient
-    buffers.  A function of its own so that those grids are freed before
-    the contour."""
-    gx, gy = gradient(xs[:, None], ys)
-    g = np.square(gx, out=gx)
-    g += np.square(gy, out=gy)
-    least = np.minimum(g[:, :-2], g[:, 1:-1], out=gy[:, 1:-1])
-    np.minimum(least, g[:, 2:], out=least)
-    block = np.minimum(least[:-2], least[1:-1])
-    np.minimum(block, least[2:], out=block)
-    mi, mj = _nonzero(g[1:-1, 1:-1] <= block)
-    return xs[mi + 1], ys[mj + 1]
+    buffers of one strip of rows at a time."""
+    found = []
+    for a, x in _strips(xs, 2):
+        gx, gy = gradient(x[:, None], ys)
+        g = np.square(gx, out=gx)
+        g += np.square(gy, out=gy)
+        least = np.minimum(g[:, :-2], g[:, 1:-1], out=gy[:, 1:-1])
+        np.minimum(least, g[:, 2:], out=least)
+        block = np.minimum(least[:-2], least[1:-1])
+        np.minimum(block, least[2:], out=block)
+        mi, mj = _nonzero(g[1:-1, 1:-1] <= block)
+        found.append((xs[a + mi + 1], ys[mj + 1]))
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _grid(f, xs, ys):
+    """max |F| on the grid (xs, ys), then the h-edge crossings (i, j, F(i, j),
+    F(i+1, j)), the v-edge ones (i, j, F(i, j), F(i, j+1)) and the crossing
+    cells (i, j, bottom, right, top and left edge flags, F(i, j) >= 0), each
+    in np.nonzero order; "evaluation" for a non-finite or vanishing F."""
+    f_scale, kept = 0.0, []
+    for a, x in _strips(xs, 1):
+        F = f(x[:, None], ys)
+        low, high = F.min(), F.max()  # NaN if F holds one
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise TraceError("evaluation", "family evaluation produced non-finite values")
+        f_scale = max(f_scale, float(-low), float(high))
+        S = F >= 0
+        hx, vy = S[:-1] != S[1:], S[:, :-1] != S[:, 1:]
+        hi, hj = _nonzero(hx)
+        vi, vj = _nonzero(vy if a + x.size == xs.size else vy[:-1])  # row a + x.size - 1 is the next strip's
+        ci, cj = _nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1] | vy[1:])
+        flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
+        kept.append((a + hi, hj, F[hi, hj], F[hi + 1, hj], a + vi, vj, F[vi, vj], F[vi, vj + 1],
+                     a + ci, cj, flags, S[ci, cj]))
+    if f_scale == 0:
+        raise TraceError("evaluation", "family vanishes identically on the grid")
+    return f_scale, tuple(map(np.concatenate, zip(*kept)))
 
 
 def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) -> TracedDivide:
@@ -180,24 +222,11 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
         raise TraceError("parameters", "window must be positive and finite")
     f, gradient, hessian = family.evaluators(t)
     xs = ys = np.linspace(-W, W, grid_n + 1)
-    F = f(xs[:, None], ys)
-    low, high = F.min(), F.max()  # NaN if F holds one
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise TraceError("evaluation", "family evaluation produced non-finite values")
-    f_scale = float(max(-low, high))
-    if f_scale == 0:
-        raise TraceError("evaluation", "family vanishes identically on the grid")
-    S = F >= 0
-    hx = S[:-1, :] != S[1:, :]  # horizontal edges
-    vy = S[:, :-1] != S[:, 1:]  # vertical edges
     cell = 2 * W / grid_n
-    # cells with a crossing, their bottom, right, top and left edge flags,
-    # and the centres of the cells with four
-    ci, cj = _nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
-    flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
+    f_scale, (hi, hj, h0, h1, vi, vj, v0, v1, ci, cj, flags, corner) = _grid(f, xs, ys)
     four = flags.all(axis=1)
     i4, j4 = ci[four], cj[four]
-    mx, my = 0.5 * (xs[i4] + xs[i4 + 1]), 0.5 * (ys[j4] + ys[j4 + 1])
+    mx, my = 0.5 * (xs[i4] + xs[i4 + 1]), 0.5 * (ys[j4] + ys[j4 + 1])  # the centres of the cells with four
 
     ss = np.linspace(-W, W, min(grid_n, SEED_CELLS) + 1)
     sx, sy = _seeds(gradient, ss, ss)
@@ -235,18 +264,14 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
 
     # --- contour extraction -------------------------------------------------
     # one point on each edge whose ends differ in sign, linearly interpolated
-    hi, hj = _nonzero(hx)
-    vi, vj = _nonzero(vy)
     nh, P = hi.size, hi.size + vi.size
     if P == 0:
         raise TraceError("contour", "no zero set found in the window")
     xy = np.empty((P, 2))
-    v1 = F[hi, hj]
-    xy[:nh, 0] = xs[hi] + v1 / (v1 - F[hi + 1, hj]) * cell
+    xy[:nh, 0] = xs[hi] + h0 / (h0 - h1) * cell
     xy[:nh, 1] = ys[hj]
-    v1 = F[vi, vj]
     xy[nh:, 0] = xs[vi]
-    xy[nh:, 1] = ys[vj] + v1 / (v1 - F[vi, vj + 1]) * cell
+    xy[nh:, 1] = ys[vj] + v0 / (v0 - v1) * cell
     px, py = xy.T
 
     # the point ids on the crossing cells' edges, looked up in the sorted
@@ -264,7 +289,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     rows = np.arange(ci.size)
     seg = np.stack([ids[rows, flags.argmax(axis=1)], ids[rows, 3 - flags[:, ::-1].argmax(axis=1)]], axis=1)
     centre = f(mx, my)
-    joins_a = (centre >= 0) == S[i4, j4]
+    joins_a = (centre >= 0) == corner[four]
     _, right, top, left = ids[four].T
     seg[four, 1] = np.where(joins_a, right, left)
     at = rows + np.cumsum(four) - four

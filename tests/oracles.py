@@ -513,6 +513,24 @@ def local_minima(g) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(mins)
 
 
+def grid_stage(f, xs, ys):
+    """The tracer's grid stage on whole (N+1) x (N+1) arrays, as it was
+    built before the grid was streamed in strips: max |F|, then the h-edge
+    crossings (i, j, F(i, j), F(i+1, j)), the v-edge crossings (i, j,
+    F(i, j), F(i, j+1)) and the crossing cells (i, j, bottom, right, top and
+    left edge flags, F(i, j) >= 0), each in np.nonzero order."""
+    F = f(xs[:, None], ys)
+    S = F >= 0
+    hx = S[:-1, :] != S[1:, :]
+    vy = S[:, :-1] != S[:, 1:]
+    hi, hj = np.nonzero(hx)
+    vi, vj = np.nonzero(vy)
+    ci, cj = np.nonzero(hx[:, :-1] | hx[:, 1:] | vy[:-1, :] | vy[1:, :])
+    flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
+    return float(max(-F.min(), F.max())), (hi, hj, F[hi, hj], F[hi + 1, hj], vi, vj, F[vi, vj], F[vi, vj + 1],
+                                           ci, cj, flags, S[ci, cj])
+
+
 def svg_divide(traced) -> str:
     """render.svg_divide with one f-string per polyline point."""
     W = traced.meta.window

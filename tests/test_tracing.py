@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from divides.singularity import BranchType, SingularityType, invariants_report
 from divides.tracing import TraceError, _nonzero, _seeds, trace_divide, trace_with_retries
 
 from fixtures import HANDPICKED, ellipse_composition, two_cusps_divide
-from oracles import assert_canonical_branch_order, einsum_evaluators, local_minima
+from oracles import assert_canonical_branch_order, einsum_evaluators, grid_stage, local_minima
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -168,7 +169,13 @@ def test_seed_minima_on_plateaus(seed):
     if seed >= 3:
         G[rng.random(shape) < 0.03] = np.nan
     mi, mj = local_minima(np.square(G))
-    sx, sy = _seeds(lambda x, y: (G.copy(), np.zeros(shape)), np.arange(shape[0]) * 1.0, np.arange(shape[1]) * 1.0)
+
+    def gradient(x, y):
+        """The rows of G that a strip asks for."""
+        rows = G[x[:, 0].astype(int)]
+        return rows, np.zeros_like(rows)
+
+    sx, sy = _seeds(gradient, np.arange(shape[0]) * 1.0, np.arange(shape[1]) * 1.0)
     assert (sx.tolist(), sy.tolist()) == ((mi + 1).tolist(), (mj + 1).tolist())
     for mask in (G > 0, np.isnan(G), (G == 0)[:, ::2], np.zeros(shape, bool)):
         flat, full = _nonzero(mask), np.nonzero(mask)
@@ -205,43 +212,114 @@ def test_node_stage_matches_the_golden_coordinates(name, monkeypatch):
 
 @pytest.mark.parametrize("halvings, grid_n", [(1, 1024), (2, 2048)])
 def test_retry_grids_seed_from_512_cells(halvings, grid_n, monkeypatch):
-    """A retry's finer grid serves the contour; the seed stage's one
-    gradient grid keeps 513 x 513 points, and no other gradient call is
-    larger."""
-    shapes = []
+    """A retry's finer grid serves the contour; the seed stage's gradient
+    grid keeps 513 x 513 points, evaluated in strips of rows that cover the
+    seed rows exactly, and no gradient call is larger than one strip."""
+    shapes, rows = [], []
 
     def watching(value, gradient, hessian):
         def watched_gradient(x, y):
             shapes.append(np.broadcast(x, y).shape)
+            if np.ndim(x) == 2:
+                rows.append(x[:, 0])
             return gradient(x, y)
 
         return value, watched_gradient, hessian
 
     patch_evaluators(monkeypatch, watching)
     fam = family_one_puiseux_pair(3, 4, 1)
-    trace_divide(fam, t=fam.t_default / 2**halvings, grid_n=grid_n)
-    assert [shape for shape in shapes if len(shape) == 2] == [(513, 513)]
-    assert max(map(math.prod, shapes)) == 513 * 513
+    t = fam.t_default / 2**halvings
+    trace_divide(fam, t=t, grid_n=grid_n)
+    W = fam.window(t)
+    strips = [shape for shape in shapes if len(shape) == 2]
+    assert {cols for _, cols in strips} == {513}
+    assert np.array_equal(np.unique(np.concatenate(rows)), np.linspace(-W, W, 513))
+    assert max(map(math.prod, shapes)) == (tracing.STRIP_ROWS + 2) * 513
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
 def test_non_finite_grid_fails_evaluation(bad, monkeypatch):
-    """One non-finite value of F anywhere on the grid refuses the attempt."""
+    """One non-finite value of F anywhere on the grid refuses the attempt.
+    It is planted at (xs[200], xs[300]) in whichever strip holds that row."""
+    family = family_parabola_pair(3)
+    W = family.window(family.t_default)
+    bad_x = np.linspace(-W, W, 513)[200]
+    planted = []
 
     def planting(value, gradient, hessian):
         def planted_value(x, y):
             v = value(x, y)
             if np.ndim(v) == 2:
-                v[200, 300] = bad
+                at = np.flatnonzero(x[:, 0] == bad_x)
+                v[at, 300] = bad
+                planted.extend(at)
             return v
 
         return planted_value, gradient, hessian
 
     patch_evaluators(monkeypatch, planting)
     with pytest.raises(TraceError) as exc:
-        trace_divide(family_parabola_pair(3), grid_n=512)
+        trace_divide(family, grid_n=512)
+    assert planted
     assert exc.value.reason == "evaluation"
     assert str(exc.value) == "family evaluation produced non-finite values"
+
+
+@pytest.mark.parametrize("name", sorted(HANDPICKED))
+@pytest.mark.parametrize("grid_n", [64, 97, 100, 512])
+def test_grid_strips_match_the_whole_grid(name, grid_n):
+    """The streamed grid stage keeps what the whole-grid stage finds, in
+    its order, across strip edges: at grid 97 the last strip is one cell
+    row.  A matrix product over a strip's rows need not round as one over
+    all rows does, so F may differ in its last bits: by a few ulp of
+    max |F|, the size of the terms that cancel near the zero set."""
+    assert tracing.STRIP_ROWS == 32
+    fam = HANDPICKED[name]()
+    t = fam.t_default
+    f, _, _ = fam.evaluators(t)
+    xs = np.linspace(-fam.window(t), fam.window(t), grid_n + 1)
+    f_scale, got = tracing._grid(f, xs, xs)
+    want_scale, want = grid_stage(f, xs, xs)
+    ulp = np.spacing(want_scale)
+    assert abs(f_scale - want_scale) <= 4 * ulp
+    assert got[0].max() >= tracing.STRIP_ROWS and got[4].max() >= tracing.STRIP_ROWS
+    for k, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert (np.abs(a - b) <= 4 * ulp).all() if k in (2, 3, 6, 7) else np.array_equal(a, b), k
+
+
+@pytest.mark.parametrize("row", [0, 32, 33, 512])
+def test_non_finite_value_in_any_strip_fails_evaluation(row):
+    """A NaN in the first row, in a row two strips share, in the row after
+    it, or in the last row of the grid."""
+    fam = family_parabola_pair(3)
+    t = fam.t_default
+    f, _, _ = fam.evaluators(t)
+    xs = np.linspace(-fam.window(t), fam.window(t), 513)
+
+    def planted(x, y):
+        v = f(x, y)
+        v[x[:, 0] == xs[row], 100] = math.nan
+        return v
+
+    assert tracing._grid(f, xs, xs)[0] > 0
+    with pytest.raises(TraceError) as exc:
+        tracing._grid(planted, xs, xs)
+    assert (exc.value.reason, str(exc.value)) == ("evaluation", "family evaluation produced non-finite values")
+
+
+def test_retry_grid_attempt_holds_no_whole_grid():
+    """One grid-2048 attempt of one-pair-3-4 peaks below 16 MB of traced
+    allocations, half of one 2049 x 2049 float64 grid; the whole-grid stage
+    peaked at 52 MB."""
+    fam = family_one_puiseux_pair(3, 4, 1)
+    tracemalloc.start()
+    try:
+        trace_divide(fam, t=fam.t_default / 4, grid_n=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(
