@@ -66,6 +66,7 @@ class FamilySpec:
         scalar point, values at paired points for arrays of one shape, and
         the grid of values at (xs[i], ys[j]) for f(xs[:, None], ys); the
         gradient and the Hessian return a tuple, one array per partial.
+        Each keeps the powers of its last ys: change no ys in place between calls.
         """
         C = self.coeffs(t)
         # trailing all-zero rows and columns would only lengthen the tables
@@ -82,8 +83,11 @@ def _power_sum(*Cs: np.ndarray):
 
     One table of powers x^i (running products) and one of y^j serve every
     C, each taking the prefixes it needs.  x is contracted first; y on a
-    grid by a second matrix product, at paired points by np.vecdot."""
+    grid by a second matrix product, at paired points by np.vecdot.  The
+    last grid axis's y table is kept, keyed by the axis object, for the
+    next strip: an axis must not change in place between calls."""
     nx, ny = max(C.shape[0] for C in Cs), max(C.shape[1] for C in Cs)
+    axis = axis_powers = None
 
     def powers(v, n):
         table = np.empty((v.size, n))
@@ -92,10 +96,13 @@ def _power_sum(*Cs: np.ndarray):
         return np.multiply.accumulate(table, axis=1)
 
     def evaluate(x, y):
+        nonlocal axis, axis_powers
         grid = np.ndim(x) == 2 and np.shape(x)[1] == 1 and np.ndim(y) == 1
         if not grid:
             x, y = np.broadcast_arrays(x, y)
-        X, Y = powers(np.ravel(x), nx), powers(np.ravel(y), ny)
+        elif y is not axis:
+            axis, axis_powers = y, powers(np.ravel(y), ny)
+        X, Y = powers(np.ravel(x), nx), axis_powers if grid else powers(np.ravel(y), ny)
         out = []
         for C in Cs:
             XC, Yk = (C.T @ X[:, : C.shape[0]].T).T, Y[:, : C.shape[1]]

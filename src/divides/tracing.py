@@ -47,7 +47,8 @@ A real branch crosses the boundary of a Milnor ball twice and a conjugate
 pair not at all.  The square window stands in for that ball, so when the
 family states its singularity the zero set must meet the rim in exactly
 2 ReBr endpoints; any other count (a pair's oval clipped by the window,
-say) raises the reason "window" before the walk.
+say) raises the reason "window" after the grid stage, before the seeds
+and Newton, since each frame crossing is a rim endpoint (see the check).
 """
 from __future__ import annotations
 
@@ -66,9 +67,10 @@ STRIP_ROWS = 32  # grid rows evaluated at once; see the module docstring
 
 
 class TraceError(RuntimeError):
-    def __init__(self, reason: str, message: str):
+    def __init__(self, reason: str, message: str, attempts: tuple = ()):
         super().__init__(message)
         self.reason = reason
+        self.attempts = attempts  # (t, grid_n, reason) of each failed attempt, in order
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,14 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     xs = ys = np.linspace(-W, W, grid_n + 1)
     cell = 2 * W / grid_n
     f_scale, (hi, hj, h0, h1, vi, vj, v0, v1, ci, cj, flags, corner) = _grid(f, xs, ys)
+    # the rim count: a frame point lies in one cell, so it has degree 1, and
+    # node-near-boundary keeps every cut disc 2 cells off the frame, so no cut
+    # reaches it or its neighbour: each frame crossing is a rim endpoint
+    along, across = np.concatenate([hi, vj]), np.concatenate([hj, vi])
+    frame = (across == 0) | (across == grid_n)
+    n_rim, sing = np.count_nonzero(frame), family.singularity
+    if sing is not None and n_rim != 2 * sing.re_br:
+        raise TraceError("window", f"{n_rim} rim endpoints, but {sing.re_br} real branches need {2 * sing.re_br}")
     four = flags.all(axis=1)
     i4, j4 = ci[four], cj[four]
     mx, my = 0.5 * (xs[i4] + xs[i4 + 1]), 0.5 * (ys[j4] + ys[j4 + 1])  # the centres of the cells with four
@@ -337,11 +347,7 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
         ends.sort(key=lambda p: math.atan2(float(py[p]) - nd.y, float(px[p]) - nd.x))
         port_of.update((p, ("node", k, s)) for s, p in enumerate(ends))
     # a rim port is a point of degree 1 on an edge of the window frame
-    along, across = np.concatenate([hi, vj]), np.concatenate([hj, vi])
-    rim = np.flatnonzero((nb[:, 0] >= 0) & (nb[:, 1] < 0) & ((across == 0) | (across == grid_n))).tolist()
-    sing = family.singularity
-    if sing is not None and len(rim) != 2 * sing.re_br:
-        raise TraceError("window", f"{len(rim)} rim endpoints, but {sing.re_br} real branches need {2 * sing.re_br}")
+    rim = np.flatnonzero((nb[:, 0] >= 0) & (nb[:, 1] < 0) & frame).tolist()
     for p in rim:
         side = (2 if across[p] else 0) if p < nh else (1 if across[p] else 3)
         port_of[p] = ("rim", (side, int(along[p]) if side < 2 else -int(along[p])), 0)
@@ -439,6 +445,7 @@ def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) 
         raise TraceError("parameters", "retries must be at least 0")
     t = family.t_default
     last_exc: Exception | None = None
+    attempts = []
     for _ in range(retries + 1):
         try:
             traced = trace_divide(family, t=t, grid_n=grid_n)
@@ -451,6 +458,7 @@ def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) 
                 "node-count",
                 f"found {traced.crossing_count} nodes, expected {family.expected_nodes}",
             )
+        attempts.append((t, grid_n, last_exc.reason))
         t *= 0.5
         grid_n = min(2 * grid_n, 4096)
-    raise TraceError("retries-exhausted", f"tracing failed after {retries + 1} attempts: {last_exc}")
+    raise TraceError("retries-exhausted", f"tracing failed after {retries + 1} attempts: {last_exc}", tuple(attempts))

@@ -144,6 +144,25 @@ def test_evaluators_match_the_einsum_reference(name):
             assert np.array_equal(a, b)
 
 
+def test_power_table_memo_keeps_the_bits():
+    """An evaluator kept across two grid axes, their strips and paired points
+    in between returns what a fresh evaluator returns, bit for bit."""
+    fam = HANDPICKED["one-pair-3-4"]()
+    t = fam.t_default
+    W = fam.window(t)
+    kept = fam.evaluators(t)
+    px, py = np.random.default_rng(1).uniform(-W, W, (2, 300))
+    calls = []
+    for n in (513, 1025, 513):
+        ys = np.linspace(-W, W, n)
+        calls += [(ys[a : a + 34, None], ys) for a in range(0, n - 2, 32)]
+        calls += [(ys[::4, None], ys), (px, py), (ys[:40, None], ys)]
+    for x, y in calls:
+        for a, b in zip(kept, fam.evaluators(t), strict=True):
+            got, want = np.asarray(a(x, y)), np.asarray(b(x, y))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(HANDPICKED))
 def test_seed_minima_match_eight_comparisons(name):
     fam = HANDPICKED[name]()
@@ -186,22 +205,31 @@ with open(os.path.join(DATA, "handpicked_nodes.json")) as fh:
     GOLDEN_NODES = json.load(fh)
 
 
+def node_stage(fam, t, grid_n):
+    """_nodes on trace_divide's inputs: the minima of the seed grid of at most
+    SEED_CELLS cells, then the centres of the contour grid's cells with four
+    crossings, and max |F| on the contour grid."""
+    W = fam.window(t)
+    f, gradient, hessian = fam.evaluators(t)
+    xs = np.linspace(-W, W, grid_n + 1)
+    f_scale, (*_, ci, cj, flags, _) = tracing._grid(f, xs, xs)
+    four = flags.all(axis=1)
+    i4, j4 = ci[four], cj[four]
+    ss = np.linspace(-W, W, min(grid_n, tracing.SEED_CELLS) + 1)
+    sx, sy = _seeds(gradient, ss, ss)
+    seeds = (np.concatenate([sx, 0.5 * (xs[i4] + xs[i4 + 1])]), np.concatenate([sy, 0.5 * (xs[j4] + xs[j4 + 1])]))
+    return tracing._nodes(f, gradient, hessian, seeds, W, f_scale)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_NODES))
-def test_node_stage_matches_the_golden_coordinates(name, monkeypatch):
+def test_node_stage_matches_the_golden_coordinates(name):
     """The node stage's output against coordinates committed from an
     earlier tracer, as point sets: node labels follow coordinate ties.  The
-    stage is watched directly because later stages may still refuse the
-    picture, as at the composition's first attempt."""
+    stage runs on its own because trace_divide may refuse the attempt
+    before it, as the rim count does at the composition's first attempt."""
     golden = GOLDEN_NODES[name]
     fam = HANDPICKED[name.removesuffix("-half-t").removesuffix("-quarter-t")]()
-    found = []
-    node_stage = tracing._nodes
-    monkeypatch.setattr(tracing, "_nodes", lambda *args: found.append(node_stage(*args)) or found[-1])
-    try:
-        trace_divide(fam, t=golden["t"], grid_n=golden["grid_n"])
-    except TraceError:
-        pass
-    [nodes] = found
+    nodes = node_stage(fam, golden["t"], golden["grid_n"])
     W = golden["window"]
     assert fam.window(golden["t"]) == W
     got, want = np.array([(nd.x, nd.y) for nd in nodes]), np.array(golden["nodes"])
@@ -355,10 +383,14 @@ def test_node_count_checked_against_the_singularity(intersection, ok):
 
 
 def test_wrong_node_count_exhausts_the_retries():
+    """The exhausted retries name every failed attempt with its reason."""
+    family = _crossing_lines(2)
     with pytest.raises(TraceError) as exc:
-        trace_with_retries(_crossing_lines(2), retries=1)
+        trace_with_retries(family, retries=1)
     assert exc.value.reason == "retries-exhausted"
     assert "found 1 nodes, expected 2" in str(exc.value)
+    t0 = family.t_default
+    assert exc.value.attempts == ((t0, 512, "node-count"), (t0 / 2, 1024, "node-count"))
 
 
 def test_retry_schedule(monkeypatch):
@@ -390,10 +422,47 @@ def test_clipped_circle_is_refused_by_its_rim_count():
         trace_with_retries(family, retries=0)
     assert exc.value.reason == "retries-exhausted"
     assert str(exc.value).endswith("2 rim endpoints, but 0 real branches need 0")
+    assert exc.value.attempts == ((family.t_default, 512, "window"),)
     with pytest.raises(TraceError) as exc:
         trace_divide(family)
     assert exc.value.reason == "window"
     assert str(exc.value) == "2 rim endpoints, but 0 real branches need 0"
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: family_smooth_conjugate([{2: 2j}], (1, 2)), ellipse_composition],
+    ids=["clipped-circle", "ellipse-composition"],
+)
+def test_window_refusal_runs_no_seed_or_node_stage(make, monkeypatch):
+    """A rim count other than 2 ReBr is refused right after the grid stage:
+    neither the seed grid nor Newton runs."""
+    family = make()
+    calls = []
+    for stage in ("_seeds", "_nodes"):
+        monkeypatch.setattr(tracing, stage, lambda *args, stage=stage: calls.append(stage))
+    with pytest.raises(TraceError) as exc:
+        trace_divide(family, grid_n=512)
+    assert exc.value.reason == "window"
+    assert calls == []
+
+
+@pytest.mark.parametrize("halvings", range(3))
+@pytest.mark.parametrize("name", sorted(HANDPICKED))
+def test_frame_crossings_are_the_rim_endpoints(name, halvings):
+    """The grid stage's crossings on the window frame, which the rim count
+    checks, are the boundary vertices of the divide an attempt returns; the
+    one attempt refused here, the composition's first, is refused for them."""
+    fam = HANDPICKED[name]()
+    t, grid_n = fam.t_default / 2**halvings, 512 * 2**halvings
+    xs = np.linspace(-fam.window(t), fam.window(t), grid_n + 1)
+    _, (_, hj, _, _, vi, *_) = tracing._grid(fam.evaluators(t)[0], xs, xs)
+    frame = np.count_nonzero((hj == 0) | (hj == grid_n)) + np.count_nonzero((vi == 0) | (vi == grid_n))
+    if (name, halvings) == ("ellipse-composition", 0):
+        with pytest.raises(TraceError) as exc:
+            trace_divide(fam, t=t, grid_n=grid_n)
+        assert (exc.value.reason, str(exc.value).split()[0]) == ("window", str(frame))
+    else:
+        assert frame == len(trace_divide(fam, t=t, grid_n=grid_n).divide.boundary)
 
 
 @pytest.mark.parametrize(
