@@ -5,7 +5,16 @@ checkerboard coloring.  Two regions are joined by one edge per curve arc
 on their common boundary, an arc running from crossing to crossing
 through any 2-valent markers (a crossing-free loop is one arc); a region
 and a crossing are joined by one edge per corner of the region at the
-crossing.  Multi-edges are kept, loops cannot occur.
+crossing.  Multi-edges are kept.
+
+Nothing here is checked, since construction guarantees the divide's regions
+their checkerboard coloring (see two_coloring), and from it follow:
+- the four corners at a crossing alternate in color, so a region has at
+  most two corners there;
+- a region-region edge crosses one curve edge, whose two sides differ in
+  color, so its ends are two regions of opposite signs;
+- hence no edge is a loop, since region-crossing edges join different
+  kinds of vertex.
 """
 from __future__ import annotations
 
@@ -14,10 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .divide import Divide, two_coloring
-
-
-class AGError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -76,35 +81,20 @@ def build_diagram(d: Divide) -> AGDiagram:
         starts = [h for h in br.walk if len(d.rotations[d.origin(h)]) != 2] or br.walk[:1]
         for h in starts:
             f1, f2 = d.face_of[h], d.face_of[-h]
-            if f1 != f2 and f1 in vid_of_face and f2 in vid_of_face:
+            if f1 in vid_of_face and f2 in vid_of_face:
                 u, v = vid_of_face[f1], vid_of_face[f2]
                 edges.append((min(u, v), max(u, v)))
 
-    # region-crossing: one edge per corner of the region at the crossing
+    # region-crossing: one edge per corner of the region at the crossing,
+    # that is per half-edge of its orbit leaving the crossing; crossings have
+    # the lower ids
     for f in inner:
-        corner_count: dict[int, int] = {}
         for h in d.faces[f]:
-            v = d.origin(h)
-            if v in vid_of_crossing:
-                corner_count[v] = corner_count.get(v, 0) + 1
-        for v, k in corner_count.items():
-            if k > 2:
-                raise AGError(
-                    f"region {f} has {k} corners at crossing {v}; transversal crossings admit at most 2"
-                )
-            u, w = vid_of_crossing[v], vid_of_face[f]
-            for _ in range(k):
-                edges.append((min(u, w), max(u, w)))
+            if d.origin(h) in vid_of_crossing:
+                edges.append((vid_of_crossing[d.origin(h)], vid_of_face[f]))
 
     edges.sort()
-    g = AGDiagram(tuple(vertices), tuple(edges))
-    for u, v in g.edges:
-        cu, cv = g.vertices[u].color, g.vertices[v].color
-        if cu == cv and cu != 0:
-            raise AGError(f"same-sign regions {u},{v} joined by an edge")
-        if u == v:
-            raise AGError("loop edge in diagram")
-    return g
+    return AGDiagram(tuple(vertices), tuple(edges))
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ class Divide:
             raise StructureError(f"outer_face marker {self.outer_face} is not a half-edge")
 
         # the augmented map is one planar map: connected, Euler characteristic 2
-        rot, origin, arc_ids = self._augmented
+        rot, origin = self._augmented
         reached, stack = set(), [min(rot)]
         while stack:
             v = stack.pop()
@@ -103,7 +103,7 @@ class Divide:
                 stack += [origin[-h] for h in rot[v]]
         if len(reached) != len(rot):
             raise StructureError(f"map is disconnected: {len(rot) - len(reached)} of {len(rot)} vertices unreached")
-        euler = len(rot) - self._n_edges - len(arc_ids) + len(self.faces)
+        euler = len(rot) - self._n_edges - len(self.boundary) + len(self.faces)
         if euler != 2:
             raise StructureError(f"Euler characteristic {euler} != 2")
 
@@ -158,33 +158,30 @@ class Divide:
 
     @cached_property
     def _augmented(self):
-        """Rotation system with the disc boundary arcs added.
-
-        Arcs get edge ids E+1..E+B, arc k running from boundary[k] to
-        boundary[k+1] along the counterclockwise boundary circle.
-        """
-        rot = {v: list(r) for v, r in self.rotations.items()}
-        n_arc = len(self.boundary)
-        arc_ids = []
-        for k in range(n_arc):
-            arc_ids.append(self._n_edges + 1 + k)
-        origin = dict(self._origin)
+        """Rotation system and half-edge origins with the disc boundary arcs
+        (arc_ids) added."""
+        rot, origin = dict(self.rotations), dict(self._origin)
+        arcs = self.arc_ids
         for k, v in enumerate(self.boundary):
-            a_out = arc_ids[k]
-            a_in = arc_ids[(k - 1) % n_arc]
-            h_curve = self.rotations[v][0]
             # ccw order at a point of the ccw-oriented circle: forward arc,
             # inward curve edge, backward arc
-            rot[v] = [a_out, h_curve, -a_in]
-            origin[a_out] = v
-            origin[-a_in] = v
-        return rot, origin, arc_ids
+            rot[v] = (arcs[k], self.rotations[v][0], -arcs[k - 1])
+            origin[arcs[k]] = origin[-arcs[k - 1]] = v
+        return rot, origin
+
+    @cached_property
+    def arc_ids(self) -> tuple[int, ...]:
+        """Arc k of the disc boundary, running from boundary[k] to
+        boundary[k+1] along the counterclockwise circle, is edge E+1+k."""
+        return tuple(range(self._n_edges + 1, self._n_edges + 1 + len(self.boundary)))
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         # left-face orbits: continue through the clockwise-next outgoing
-        # half-edge after the twin (rotations are counterclockwise)
-        rot, origin, _ = self._augmented
+        # half-edge after the twin (rotations are counterclockwise).  Each
+        # orbit starts at its least half-edge in (|h|, h < 0) order, so the
+        # orbits come out sorted by it
+        rot, _ = self._augmented
         succ: dict[int, int] = {}
         for v, r in rot.items():
             for idx, h in enumerate(r):
@@ -203,7 +200,6 @@ class Divide:
                 if h == h0:
                     break
             orbits.append(tuple(orbit))
-        orbits.sort(key=lambda o: min((abs(h), h < 0) for h in o))
         return tuple(orbits)
 
     @cached_property
@@ -213,10 +209,6 @@ class Divide:
             for h in orbit:
                 out[h] = fid
         return out
-
-    @cached_property
-    def arc_ids(self) -> tuple[int, ...]:
-        return tuple(self._augmented[2])
 
     @cached_property
     def outside_face(self) -> int:
@@ -266,15 +258,9 @@ def two_coloring(d: Divide) -> dict[int, int]:
     the faces of a connected planar map with only even valences: they have
     a checkerboard coloring, and their adjacency graph is connected.
     """
-    # the regions of the disc: with endpoints, every face but the one beyond
-    # the boundary circle; without them, every face
-    outside = d.outside_face if d.boundary else None
-    adj: dict[int, set[int]] = {f: set() for f in range(len(d.faces)) if f != outside}
-    for e in range(1, d.n_edges + 1):
-        f1, f2 = d.face_of[e], d.face_of[-e]
-        if f1 in adj and f2 in adj and f1 != f2:
-            adj[f1].add(f2)
-            adj[f2].add(f1)
+    # from a region, each curve half-edge of its orbit leads across to the
+    # next; only boundary arcs reach the face beyond the disc, so it is
+    # never entered
     if d.boundary:
         anchor, anchor_color = d.face_of[d.arc_ids[0]], 1
     else:
@@ -283,8 +269,9 @@ def two_coloring(d: Divide) -> dict[int, int]:
     queue = [anchor]
     while queue:
         f = queue.pop()
-        for g in adj[f]:
-            if g not in color:
+        for h in d.faces[f]:
+            g = d.face_of[-h]
+            if abs(h) <= d.n_edges and g not in color:
                 color[g] = -color[f]
                 queue.append(g)
     return color

@@ -35,13 +35,14 @@ in slot 0 the other end of a point's first segment in cell order, in slot
 leaves through slot 0.  Port and loop starts are taken in order of
 (x, y, rank of first appearance in the segments).
 
-Assembly is built on ports, the places where strands end: a node stub
-("node", k, s) with s in counterclockwise order, a rim endpoint
-("rim", (side, index), 0) numbered counterclockwise from the corner
-(-W, -W), and the two ends ("marker", l, 0) and ("marker", l, 1) of
-a crossing-free loop, which is one more strand after all the others.  One
-table (vertex, slot) -> half-edge gives every rotation, from which the
-Divide derives its branch walks.
+Assembly writes the Divide's rotation table directly: a port, a place
+where strands end, is a (vertex, slot).  Node k is vertex k, its four stubs
+slots 0-3 in counterclockwise order; the rim endpoint of rank r in boundary
+order, counterclockwise from the corner (-W, -W), is vertex K + r; the l-th
+crossing-free loop, one more strand after all the others, is marker vertex
+K + R + l with rotation [e, -e].  Strand e writes e into the slot it leaves
+and -e into the one it enters; a slot claimed twice or left empty raises
+"assembly".  The Divide derives its branch walks from the table.
 
 A real branch crosses the boundary of a Milnor ball twice and a conjugate
 pair not at all.  The square window stands in for that ball, so when the
@@ -64,6 +65,8 @@ LEVEL_TOL = 1e-9
 ANGLE_TOL = 1e-3
 SEED_CELLS = 512  # cells a side of the seed grid at most; see the module docstring
 STRIP_ROWS = 32  # grid rows evaluated at once; see the module docstring
+# failure reasons a finer grid may mend at the same t; see trace_with_retries
+GRID_REASONS = frozenset({"nodes-too-close", "node-degree", "resolution", "node-near-boundary", "transversality"})
 
 
 class TraceError(RuntimeError):
@@ -95,11 +98,9 @@ class TracedDivide:
     nodes: list[NodeInfo]
     strand_paths: dict[int, np.ndarray]  # edge id -> polyline, tail to head
     meta: TraceMeta
+    # always True, as trace_divide raises "node-count"; kept because the
+    # benchmark's span probe reads it
     node_count_ok: bool = True
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.nodes)
 
 
 def _nodes(f, gradient, hessian, seeds, window, f_scale):
@@ -208,11 +209,12 @@ def _grid(f, xs, ys):
 def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) -> TracedDivide:
     """Single tracing attempt at fixed parameters.
 
-    Raises TraceError when the numerics cannot certify the picture
-    (a shallow crossing, a node too close to the window rim or to another
-    node, a cut-end count mismatch, a rim endpoint count other than
-    2 ReBr).  A wrong node count is reported in the result, not raised, so
-    the retry wrapper can decide.
+    Raises TraceError, with a specific reason, whenever the numerics cannot
+    certify the picture: a shallow crossing, a node too close to the window
+    rim or to another node, a cut-end count mismatch, a rim endpoint count
+    other than 2 ReBr, a map that is no divide, and, when the family states
+    its singularity, a node count other than the singularity's
+    ("node-count").
     """
     if grid_n < 64:
         raise TraceError("parameters", "grid_n must be at least 64")
@@ -335,8 +337,9 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     lone = nb[:, 0] < 0
     nb[lone] = nb[lone, ::-1]
 
-    # --- ports: where strands end -------------------------------------------
-    port_of: dict[int, tuple] = {}
+    # --- ports: (vertex, slot) of the rotation table ------------------------
+    K = len(infos)
+    port_of: dict[int, tuple[int, int]] = {}
     for k, nd in enumerate(infos):
         ends = by_position(np.unique(stubs[stub_node == k])).tolist()
         if len(ends) != 4:
@@ -345,12 +348,15 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
                 f"node {k} has {len(ends)} strand ends after the cut (need 4); refine the grid",
             )
         ends.sort(key=lambda p: math.atan2(float(py[p]) - nd.y, float(px[p]) - nd.x))
-        port_of.update((p, ("node", k, s)) for s, p in enumerate(ends))
-    # a rim port is a point of degree 1 on an edge of the window frame
-    rim = np.flatnonzero((nb[:, 0] >= 0) & (nb[:, 1] < 0) & frame).tolist()
-    for p in rim:
-        side = (2 if across[p] else 0) if p < nh else (1 if across[p] else 3)
-        port_of[p] = ("rim", (side, int(along[p]) if side < 2 else -int(along[p])), 0)
+        port_of.update((p, (k, s)) for s, p in enumerate(ends))
+    # a rim port is a point of degree 1 on an edge of the window frame, ranked
+    # by side (bottom, right, top, left) and then counterclockwise along it
+    rim = np.flatnonzero((nb[:, 0] >= 0) & (nb[:, 1] < 0) & frame)
+    far = across[rim] > 0
+    side = np.where(rim < nh, 2 * far, np.where(far, 1, 3))
+    rim = rim[np.lexsort((np.where(side < 2, along[rim], -along[rim]), side))]
+    port_of.update((p, (K + r, 0)) for r, p in enumerate(rim.tolist()))
+    rotations = {v: [0] * (4 if v < K else 1) for v in range(K + rim.size)}  # 0: empty slot
 
     # --- one walk for strands, then for crossing-free loops -----------------
     nbl = nb.tolist()
@@ -369,49 +375,31 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
         seen[path] = True
         return path
 
-    paths, strand_ends = [], []
+    paths = []
     for p in by_position(np.array(list(port_of), dtype=int)).tolist():
         if nbl[p][0] >= 0 and not seen[p]:
             paths.append(walk(p))
-            strand_ends.append((port_of[p], port_of[paths[-1][-1]]))
-    # a loop is one more strand, between the two slots of its marker
-    n_strands = len(paths)
+            e = len(paths)
+            for (v, s), h in ((port_of[p], e), (port_of[paths[-1][-1]], -e)):
+                if rotations[v][s]:
+                    raise TraceError("assembly", f"two strands claim slot {s} of vertex {v}")
+                rotations[v][s] = h
     for p in by_position(np.flatnonzero(~(cut | seen))).tolist():
         if not seen[p] and p not in port_of:
-            loop = len(paths) - n_strands
             paths.append(walk(p))
-            strand_ends.append((("marker", loop, 0), ("marker", loop, 1)))
+            rotations[len(rotations)] = [len(paths), -len(paths)]
+    for v, rot in rotations.items():
+        if 0 in rot:
+            raise TraceError("assembly", f"no strand attached to slot {rot.index(0)} of vertex {v}")
     edge_paths = {e: xy[p] for e, p in enumerate(paths, start=1)}
-    divide = _assemble(infos, strand_ends, edge_paths)
+    divide = _assemble(rotations, range(K, K + rim.size), edge_paths)
     expected = family.expected_nodes
-    return TracedDivide(divide, infos, edge_paths, TraceMeta(t, grid_n, W),
-                        expected is None or len(infos) == expected)
+    if expected is not None and K != expected:
+        raise TraceError("node-count", f"found {K} nodes, expected {expected}")
+    return TracedDivide(divide, infos, edge_paths, TraceMeta(t, grid_n, W))
 
 
-VALENCE = {"node": 4, "rim": 1, "marker": 2}
-
-
-def _assemble(infos, strand_ends, edge_paths) -> Divide:
-    # port table: (kind, id, slot) -> the half-edge leaving that vertex there
-    half_at: dict[tuple, int] = {}
-    for e, ends in enumerate(strand_ends, start=1):
-        for port, h in zip(ends, (e, -e)):
-            if port in half_at:
-                raise TraceError("assembly", f"two strands claim port {port}")
-            half_at[port] = h
-    # vertices: nodes 0..K-1, rim endpoints next in boundary order, markers last
-    rims = sorted({p[:2] for p in half_at if p[0] == "rim"})
-    markers = sorted({p[:2] for p in half_at if p[0] == "marker"})
-    vertices = [("node", k) for k in range(len(infos))] + rims + markers
-    rotations: dict[int, list[int]] = {}
-    for vid, (kind, k) in enumerate(vertices):
-        try:
-            rotations[vid] = [half_at[(kind, k, s)] for s in range(VALENCE[kind])]
-        except KeyError as exc:
-            raise TraceError("assembly", f"no strand attached to port {exc.args[0]}") from None
-
-    boundary = list(range(len(infos), len(infos) + len(rims)))
-
+def _assemble(rotations, boundary, edge_paths) -> Divide:
     outer_face = None
     if not boundary:
         # leftmost sample point over all edges; the half-edge moving upward
@@ -440,25 +428,22 @@ def _assemble(infos, strand_ends, edge_paths) -> Divide:
 
 
 def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) -> TracedDivide:
-    """Monotone retry protocol: halve t and double the grid on failure."""
+    """Retry protocol: after a failed attempt, double the grid, up to 4096
+    cells a side, and halve t unless the failure is one of GRID_REASONS:
+    nodes-too-close, node-degree, resolution, node-near-boundary or
+    transversality.  Those say the grid was too coarse for the picture at
+    this t, which a smaller t would only shrink further."""
     if retries < 0:
         raise TraceError("parameters", "retries must be at least 0")
     t = family.t_default
-    last_exc: Exception | None = None
     attempts = []
     for _ in range(retries + 1):
         try:
-            traced = trace_divide(family, t=t, grid_n=grid_n)
+            return trace_divide(family, t=t, grid_n=grid_n)
         except TraceError as exc:
             last_exc = exc
-        else:
-            if traced.node_count_ok:
-                return traced
-            last_exc = TraceError(
-                "node-count",
-                f"found {traced.crossing_count} nodes, expected {family.expected_nodes}",
-            )
         attempts.append((t, grid_n, last_exc.reason))
-        t *= 0.5
+        if last_exc.reason not in GRID_REASONS:
+            t *= 0.5
         grid_n = min(2 * grid_n, 4096)
     raise TraceError("retries-exhausted", f"tracing failed after {retries + 1} attempts: {last_exc}", tuple(attempts))

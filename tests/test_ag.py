@@ -68,11 +68,23 @@ class TestBuild:
             assert len(g.vertices) == len(d.crossings) + len(d.inner_faces)
 
     def test_edge_color_rule(self):
-        for d in (figure_eight_divide(), cusp_divide(), two_parabolas_divide()):
+        """What the checkerboard coloring guarantees, so build_diagram does
+        not check: no edge is a loop or joins two vertices of one color,
+        and a crossing and a region share at most 2 edges.  On the hand
+        fixtures, each with every edge split by a marker, and the traced
+        handpicked divides."""
+        divides = [make() for make in HAND_FIXTURES.values()]
+        divides += [split_edge(d, e) for d in divides for e in range(1, d.n_edges + 1)]
+        # ellipse-composition certifies on its grid-1024 retry
+        divides += [trace_with_retries(make(), retries=1).divide for make in HANDPICKED.values()]
+        for d in divides:
             g = build_diagram(d)
             for u, v in g.edges:
                 cu, cv = g.vertices[u].color, g.vertices[v].color
-                assert cu != cv or 0 in (cu, cv)
+                assert u != v
+                assert cu != cv
+                if 0 in (cu, cv):
+                    assert g.multiplicity(u, v) <= 2
 
 
 class TestAdjacency:

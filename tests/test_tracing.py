@@ -73,7 +73,7 @@ def test_semiquasi_two_lines_two_conics():
     family = family_semiquasi_pp([(1, 0), (0, 1)], [(1, 0, 2), (2, 0, 1)], [1, 1])
     traced = trace_with_retries(family, retries=0)
     assert_certified(family, traced)
-    assert traced.crossing_count == family.expected_nodes == 13
+    assert len(traced.nodes) == family.expected_nodes == 13
 
 
 def test_branch_recorded_into_the_rim_at_both_ends():
@@ -122,7 +122,7 @@ def test_newton_stops_at_the_noise_floor(monkeypatch):
     patch_evaluators(monkeypatch, counting)
     traced = trace_divide(family_one_puiseux_pair(3, 4, 1), grid_n=512)
     assert len(calls) - 1 <= 25
-    assert traced.crossing_count == 14
+    assert len(traced.nodes) == 14
 
 
 @pytest.mark.parametrize("name", sorted(HANDPICKED))
@@ -377,9 +377,16 @@ def _crossing_lines(intersection):
 
 @pytest.mark.parametrize("intersection, ok", [(1, True), (2, False)])
 def test_node_count_checked_against_the_singularity(intersection, ok):
-    traced = trace_divide(_crossing_lines(intersection), grid_n=512)
-    assert traced.crossing_count == 1
-    assert traced.node_count_ok is ok
+    """One node is traced; with intersection 2 the singularity wants two, and
+    the attempt raises "node-count" instead of returning the divide."""
+    family = _crossing_lines(intersection)
+    if ok:
+        assert len(trace_divide(family, grid_n=512).nodes) == 1
+    else:
+        with pytest.raises(TraceError) as exc:
+            trace_divide(family, grid_n=512)
+        assert exc.value.reason == "node-count"
+        assert str(exc.value) == "found 1 nodes, expected 2"
 
 
 def test_wrong_node_count_exhausts_the_retries():
@@ -394,7 +401,8 @@ def test_wrong_node_count_exhausts_the_retries():
 
 
 def test_retry_schedule(monkeypatch):
-    """Each retry halves t and doubles the grid.  t and grid_n reach
+    """Each retry doubles the grid, and after a "node-count" failure, which
+    is not one of GRID_REASONS, it halves t.  t and grid_n reach
     trace_divide as keywords, where the benchmark's span probe reads them."""
     calls = []
 
@@ -408,6 +416,19 @@ def test_retry_schedule(monkeypatch):
         trace_with_retries(family, retries=2)
     t0 = family.t_default
     assert calls == [{"t": t0, "grid_n": 512}, {"t": t0 / 2, "grid_n": 1024}, {"t": t0 / 4, "grid_n": 2048}]
+
+
+def test_grid_failures_keep_t():
+    """Two conics whose nodes lie too close for the cut discs at grids 512
+    and 1024: a retry after "nodes-too-close" keeps t and refines only the
+    grid, and at 2048 the divide certifies."""
+    family = family_semiquasi_pp([], [(1.0, -0.4, 3.5), (1.0, 0, 0.3)], [1.0, 1.0])
+    with pytest.raises(TraceError) as exc:
+        trace_with_retries(family, retries=1)
+    assert exc.value.attempts == ((0.2, 512, "nodes-too-close"), (0.2, 1024, "nodes-too-close"))
+    traced = trace_with_retries(family, retries=2)
+    assert (traced.meta.t, traced.meta.grid_n) == (0.2, 2048)
+    assert_certified(family, traced)
 
 
 def test_clipped_circle_is_refused_by_its_rim_count():
@@ -585,7 +606,7 @@ def test_diagonal_through_grid_vertices():
 def test_node_at_a_grid_vertex():
     traced = trace_divide(family_from_expression("(y - x)*(y + 2*x)", window=1.0), grid_n=512)
     assert validate(traced.divide) == []
-    assert traced.crossing_count == 1
+    assert len(traced.nodes) == 1
     assert len(traced.divide.branches) == 2
     assert len(traced.strand_paths) == 4
 
