@@ -99,8 +99,8 @@ class TracedDivide:
     strand_paths: dict[int, np.ndarray]  # edge id -> polyline, tail to head
     meta: TraceMeta
     # always True, as trace_divide raises "node-count"; kept because the
-    # benchmark's span probe reads it
-    node_count_ok: bool = True
+    # benchmark's span probe reads it.  A class attribute, not a field
+    node_count_ok = True
 
 
 def _nodes(f, gradient, hessian, seeds, window, f_scale):
@@ -432,7 +432,8 @@ def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) 
     cells a side, and halve t unless the failure is one of GRID_REASONS:
     nodes-too-close, node-degree, resolution, node-near-boundary or
     transversality.  Those say the grid was too coarse for the picture at
-    this t, which a smaller t would only shrink further."""
+    this t, which a smaller t would only shrink further.  Once the grid is
+    at its cap, every failure halves t, so no attempt repeats."""
     if retries < 0:
         raise TraceError("parameters", "retries must be at least 0")
     t = family.t_default
@@ -443,7 +444,8 @@ def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) 
         except TraceError as exc:
             last_exc = exc
         attempts.append((t, grid_n, last_exc.reason))
-        if last_exc.reason not in GRID_REASONS:
+        next_n = min(2 * grid_n, 4096)
+        if last_exc.reason not in GRID_REASONS or next_n == grid_n:
             t *= 0.5
-        grid_n = min(2 * grid_n, 4096)
+        grid_n = next_n
     raise TraceError("retries-exhausted", f"tracing failed after {retries + 1} attempts: {last_exc}", tuple(attempts))

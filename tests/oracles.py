@@ -615,3 +615,10 @@ def assert_canonical_branch_order(d):
     starts = [br.walk[0] for br in d.branches if br.closed]
     assert starts == [min(abs(h) for h in br.walk) for br in d.branches if br.closed]
     assert starts == sorted(starts)
+
+
+def assert_faces_sorted(d):
+    """Face ids follow the least half-edge of each orbit in (|h|, h < 0)
+    order, so they stay fixed by the rotation table alone."""
+    leasts = [min((abs(h), h < 0) for h in orbit) for orbit in d.faces]
+    assert all(a < b for a, b in zip(leasts, leasts[1:])), leasts

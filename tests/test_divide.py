@@ -25,7 +25,7 @@ from fixtures import (
     two_cusps_divide,
     two_parabolas_divide,
 )
-from oracles import assert_canonical_branch_order
+from oracles import assert_canonical_branch_order, assert_faces_sorted
 
 
 SMOOTH = BranchType((1,))
@@ -91,10 +91,12 @@ class TestBranchWalks:
     def test_fixtures_and_their_split_edges(self, make):
         d = make()
         assert_canonical_branch_order(d)
+        assert_faces_sorted(d)
         n = d.n_edges + 1
         for e in range(1, n):
             split = split_edge(d, e)
             assert_canonical_branch_order(split)
+            assert_faces_sorted(split)
             # the walks pass the new marker straight through
             expect = [
                 (br.closed, sum(([e, n] if h == e else [-n, -e] if h == -e else [h] for h in br.walk), []))

@@ -24,7 +24,7 @@ from divides.singularity import BranchType, SingularityType, invariants_report
 from divides.tracing import TraceError, _nonzero, _seeds, trace_divide, trace_with_retries
 
 from fixtures import HANDPICKED, ellipse_composition, two_cusps_divide
-from oracles import assert_canonical_branch_order, einsum_evaluators, grid_stage, local_minima
+from oracles import assert_canonical_branch_order, assert_faces_sorted, einsum_evaluators, grid_stage, local_minima
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -48,6 +48,7 @@ def assert_certified(family, traced):
     inv = invariants_report(family.singularity)
     assert validate(d) == []
     assert_canonical_branch_order(d)
+    assert_faces_sorted(d)
     assert census_passes(d, family.singularity)
     assert len(d.inner_faces) == inv["expected_inner_regions"]
     assert len(build_diagram(d).vertices) == inv["milnor"]
@@ -402,8 +403,10 @@ def test_wrong_node_count_exhausts_the_retries():
 
 def test_retry_schedule(monkeypatch):
     """Each retry doubles the grid, and after a "node-count" failure, which
-    is not one of GRID_REASONS, it halves t.  t and grid_n reach
-    trace_divide as keywords, where the benchmark's span probe reads them."""
+    is not one of GRID_REASONS, it halves t.  A failure in GRID_REASONS
+    keeps t while the grid can grow, and halves it once the grid is at its
+    cap.  t and grid_n reach trace_divide as keywords, where the
+    benchmark's span probe reads them."""
     calls = []
 
     def recording(family, **kwargs):
@@ -416,6 +419,22 @@ def test_retry_schedule(monkeypatch):
         trace_with_retries(family, retries=2)
     t0 = family.t_default
     assert calls == [{"t": t0, "grid_n": 512}, {"t": t0 / 2, "grid_n": 1024}, {"t": t0 / 4, "grid_n": 2048}]
+
+    def too_coarse(family, **kwargs):
+        calls.append(kwargs)
+        raise TraceError("resolution", "grid too coarse")
+
+    calls.clear()
+    monkeypatch.setattr(tracing, "trace_divide", too_coarse)
+    with pytest.raises(TraceError) as exc:
+        trace_with_retries(family, grid_n=2048, retries=3)
+    assert calls == [
+        {"t": t0, "grid_n": 2048},
+        {"t": t0, "grid_n": 4096},
+        {"t": t0 / 2, "grid_n": 4096},
+        {"t": t0 / 4, "grid_n": 4096},
+    ]
+    assert exc.value.attempts == tuple((c["t"], c["grid_n"], "resolution") for c in calls)
 
 
 def test_grid_failures_keep_t():
