@@ -31,12 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .singularity import (
-    SingularityType,
-    branch_delta,
-    expected_inner_regions,
-    expected_node_count,
-)
+from .singularity import SingularityType
 
 
 class StructureError(ValueError):
@@ -351,17 +346,17 @@ def check_against_type(d: Divide, s: SingularityType, assignment: dict) -> Check
     I = s.intersections
     M = crossing_matrix(d)
     total = sum(M[i][j] for i in range(nb) for j in range(i, nb))
-    items.append(CheckItem("total crossings", expected_node_count(s), total))
+    items.append(CheckItem("total crossings", s.expected_nodes, total))
     for bid, own in enumerate(slots):
         # the delta of the branch's slots, less one for a pair (nodes = delta - ImBr)
-        expect = sum(branch_delta(s.slot_branch(a)) for a in own)
+        expect = sum(s.slot_branch(a).delta for a in own)
         expect += sum(I[a][c] for a, c in combinations(own, 2)) - (len(own) - 1)
         items.append(CheckItem(f"self-crossings branch {bid}", expect, M[bid][bid]))
     for i, j in combinations(range(nb), 2):
         expect = sum(I[a][c] for a in slots[i] for c in slots[j])
         items.append(CheckItem(f"crossings branches {i}x{j}", expect, M[i][j]))
 
-    items.append(CheckItem("inner regions", expected_inner_regions(s), len(d.inner_faces)))
+    items.append(CheckItem("inner regions", s.expected_inner_regions, len(d.inner_faces)))
     return CheckReport(tuple(items), ())
 
 

@@ -4,8 +4,9 @@ Each construction returns a FamilySpec: the coefficient matrix of a real
 polynomial F(x, y, t) as a function of t, whose zero set, for small t > 0,
 is the divide of a real morsification of the singularity the family
 deforms, together with that singularity's topological type and viewport
-metadata for the tracer.  The expected number of hyperbolic nodes is
-derived from the type.
+metadata for the tracer.  The expected number of hyperbolic nodes,
+delta - ImBr, is the type's ``expected_nodes``, derived when the type is
+validated.
 
 Constructors build the matrices with numpy polynomial products, and
 family_from_expression parses +, -, * and / by constants over x, y, t and
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .singularity import BranchType, SingularityType, expected_node_count
+from .singularity import BranchType, SingularityType
 
 
 class FamilyError(ValueError):
@@ -44,8 +45,8 @@ class FamilySpec:
     half-width of the square viewport as a function of t; the singularity
     the family deforms (None for a bare expression); and the coefficients
     (A, B, C) of u^2 + v^2 in x, y for each conjugate tangent pair of a
-    family that a composition may take as a part.  Derived from the
-    singularity: the expected node count, delta - ImBr.
+    family that a composition may take as a part.  The tracer reads the
+    expected node count off the singularity, ``singularity.expected_nodes``.
     """
 
     coeffs: Callable[[float], np.ndarray]
@@ -54,10 +55,6 @@ class FamilySpec:
     window: Callable[[float], float]
     singularity: SingularityType | None = None
     quads: tuple[tuple[float, float, float], ...] = ()
-
-    @property
-    def expected_nodes(self) -> int | None:
-        return None if self.singularity is None else expected_node_count(self.singularity)
 
     def evaluators(self, t: float):
         """F, its gradient (Fx, Fy) and its Hessian (Fxx, Fxy, Fyy) at t.

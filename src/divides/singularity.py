@@ -2,9 +2,10 @@
 
 A branch is recorded by its Puiseux characteristic exponents, a singularity
 by its real branches, conjugate branch pairs, and the symmetric table of
-pairwise intersection multiplicities.  All invariants (multiplicity
-sequence, delta, Milnor number, node and region counts of a real
-morsification) are exact integer computations.
+pairwise intersection multiplicities.  Every invariant is an exact integer
+derived once, when the type is validated: a branch stores its multiplicity
+sequence and delta, a singularity its delta, and its Milnor number and the
+node and region counts of a real morsification are properties on it.
 """
 from __future__ import annotations
 
@@ -16,6 +17,31 @@ class InvalidSingularity(ValueError):
     """Raised when branch or intersection data violates a domain invariant."""
 
 
+def _multiplicity_sequence(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Multiplicities of the strict transforms of the branch with
+    characteristic exponents ``exps`` under blow-ups.
+
+    Runs the subtractive Euclidean expansion of the characteristic
+    exponents: stage k processes the pair (current gcd, next exponent
+    excess), appending min of the pair at each step.  The first entry is
+    b0, the sequence is non-increasing, and it terminates with 1s once the
+    transform is smooth and transversal to the exceptional locus.
+    """
+    if exps == (1,):
+        return (1,)
+    seq, x, prev = [], exps[0], 0
+    for b in exps[1:]:
+        y, prev = b - prev, b
+        while y:
+            if x <= y:
+                seq.append(x)
+                y -= x
+            else:
+                seq.append(y)
+                x, y = y, x - y
+    return tuple(seq)
+
+
 @dataclass(frozen=True)
 class BranchType:
     """A branch germ given by its characteristic exponents (b0; b1, ..., bg).
@@ -23,10 +49,13 @@ class BranchType:
     b0 is the multiplicity of the branch.  A smooth branch is encoded as
     ``(1,)``.  The gcd chain e_k = gcd(b0, ..., bk) must strictly decrease
     down to 1, which is exactly the condition for the listed exponents to be
-    characteristic.
+    characteristic.  The validation stores the multiplicity sequence and
+    delta, the sum of m(m-1)/2 over it.
     """
 
     char_exponents: tuple[int, ...]
+    multiplicity_sequence: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    delta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exps = tuple(map(int, self.char_exponents))
@@ -49,6 +78,9 @@ class BranchType:
             raise InvalidSingularity(divisible)
         if e != 1:
             raise InvalidSingularity(f"gcd chain of {exps} ends at {e}, expected 1")
+        seq = _multiplicity_sequence(exps)
+        object.__setattr__(self, "multiplicity_sequence", seq)
+        object.__setattr__(self, "delta", sum(m * (m - 1) // 2 for m in seq))
 
     @property
     def multiplicity(self) -> int:
@@ -57,40 +89,6 @@ class BranchType:
     @property
     def is_smooth(self) -> bool:
         return self.char_exponents == (1,)
-
-
-def multiplicity_sequence(b: BranchType) -> list[int]:
-    """Multiplicities of the strict transforms of ``b`` under blow-ups.
-
-    Runs the subtractive Euclidean expansion of the characteristic
-    exponents: stage k processes the pair (current gcd, next exponent
-    excess), appending min of the pair at each step.  The first entry is
-    b0, the sequence is non-increasing, and it terminates with 1s once the
-    transform is smooth and transversal to the exceptional locus.
-    """
-    if b.is_smooth:
-        return [1]
-    exps = b.char_exponents
-    seq: list[int] = []
-    a = exps[0]
-    excesses = [exps[1]] + [exps[k + 1] - exps[k] for k in range(1, len(exps) - 1)]
-    for y in excesses:
-        x = a
-        while y > 0:
-            seq.append(min(x, y))
-            if x <= y:
-                y -= x
-            else:
-                x, y = y, x - y
-        a = x
-    return seq
-
-
-def branch_delta(b: BranchType) -> int:
-    """Delta invariant of a single branch: sum of m(m-1)/2 over its
-    multiplicity sequence (the closed-form unrolling of the blow-up
-    recursion for delta)."""
-    return sum(m * (m - 1) // 2 for m in multiplicity_sequence(b))
 
 
 def _mirror_slots(re_br: int, n: int) -> list[int]:
@@ -106,12 +104,14 @@ class SingularityType:
     Branch slots are ordered: real branches first, then each conjugate pair
     contributes two slots (Q then its mirror).  ``intersections`` is the
     full symmetric matrix of pairwise intersection multiplicities over
-    slots; the diagonal is unused and kept 0.
+    slots; the diagonal is unused and kept 0.  The validation stores delta:
+    the slots' branch deltas plus the table's entries above the diagonal.
     """
 
     real_branches: tuple[BranchType, ...]
     conj_pairs: tuple[BranchType, ...]
     intersections: tuple[tuple[int, ...], ...] = field(default=())
+    delta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         reals, pairs = tuple(self.real_branches), tuple(self.conj_pairs)
@@ -133,6 +133,7 @@ class SingularityType:
         # order lies above the diagonal, as (i, j) and (j, i) fail together
         mirror = _mirror_slots(len(reals), n)
         unmirrored = None
+        delta = sum(b.delta for b in reals) + 2 * sum(b.delta for b in pairs)
         for i, row in enumerate(table):
             if row[i] != 0:
                 raise InvalidSingularity("diagonal of the intersection table is unused, keep 0")
@@ -147,8 +148,10 @@ class SingularityType:
                 mi, mj = mirror[i], mirror[j]
                 if unmirrored is None and q != table[mi][mj]:
                     unmirrored = f"conjugation symmetry violated: ({i},{j})={q} vs ({mi},{mj})={table[mi][mj]}"
+                delta += q
         if unmirrored:
             raise InvalidSingularity(unmirrored)
+        object.__setattr__(self, "delta", delta)
 
     @property
     def re_br(self) -> int:
@@ -171,33 +174,24 @@ class SingularityType:
         base = self.re_br + 2 * p
         return base, base + 1
 
+    @property
+    def multiplicity(self) -> int:
+        return sum(b.multiplicity for b in self.real_branches + 2 * self.conj_pairs)
 
-def total_multiplicity(s: SingularityType) -> int:
-    return sum(s.slot_branch(k).multiplicity for k in range(s.slot_count))
+    @property
+    def milnor(self) -> int:
+        """Milnor number, 2 delta - ReBr - 2 ImBr + 1."""
+        return 2 * self.delta - self.re_br - 2 * self.im_br + 1
 
+    @property
+    def expected_nodes(self) -> int:
+        """Number of hyperbolic nodes of any real morsification: delta - ImBr."""
+        return self.delta - self.im_br
 
-def delta_total(s: SingularityType) -> int:
-    """Delta of the singularity: branch deltas plus pairwise intersections."""
-    n = s.slot_count
-    d = sum(branch_delta(s.slot_branch(k)) for k in range(n))
-    d += sum(s.intersections[i][j] for i in range(n) for j in range(i + 1, n))
-    return d
-
-
-def milnor_number(s: SingularityType) -> int:
-    """Milnor number via 2*delta - ReBr - 2*ImBr + 1."""
-    return 2 * delta_total(s) - s.re_br - 2 * s.im_br + 1
-
-
-def expected_node_count(s: SingularityType) -> int:
-    """Number of hyperbolic nodes of any real morsification: delta - ImBr."""
-    return delta_total(s) - s.im_br
-
-
-def expected_inner_regions(s: SingularityType) -> int:
-    """Number of inner complementary regions of the divide:
-    mu - (delta - ImBr) = delta - ReBr - ImBr + 1."""
-    return delta_total(s) - s.re_br - s.im_br + 1
+    @property
+    def expected_inner_regions(self) -> int:
+        """Inner regions of its divide: mu - nodes = delta - ReBr - ImBr + 1."""
+        return self.delta - self.re_br - self.im_br + 1
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -208,20 +202,26 @@ def expected_inner_regions(s: SingularityType) -> int:
 #
 # Slot indexing: real branches first, then for each pair the Q slot followed
 # by the conjugate slot.  Entries derivable by conjugation symmetry may be
-# omitted; giving both with different values is an error.
+# omitted; giving both with different values is an error.  Every exponent
+# and value must be a JSON integer: no number is truncated.
+
+
+def _json_int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidSingularity(f"expected an integer, got {x!r}")
+    return x
 
 
 def singularity_from_json(obj: dict) -> SingularityType:
+    """The type that ``obj``, in the wire format above, describes."""
     try:
-        reals = tuple(BranchType(tuple(b["char_exponents"])) for b in obj.get("real_branches", []))
-        pairs = tuple(BranchType(tuple(b["char_exponents"])) for b in obj.get("conj_pairs", []))
+        reals, pairs = ([BranchType(tuple(map(_json_int, b["char_exponents"]))) for b in obj.get(key, [])]
+                        for key in ("real_branches", "conj_pairs"))
     except (KeyError, TypeError) as exc:
         raise InvalidSingularity(f"malformed branch entry: {exc}") from exc
     n = len(reals) + 2 * len(pairs)
-    if n == 0:
-        raise InvalidSingularity("empty branch list")
-
-    given: dict[tuple[int, int], int] = {}
+    mirror = _mirror_slots(len(reals), n)
+    table = [[0 if i == j else None for j in range(n)] for i in range(n)]
     for key, val in obj.get("intersections", {}).items():
         try:
             i_s, j_s = key.split(",")
@@ -230,30 +230,15 @@ def singularity_from_json(obj: dict) -> SingularityType:
             raise InvalidSingularity(f"bad intersection key {key!r}, expected 'i,j'") from exc
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise InvalidSingularity(f"intersection key {key!r} out of range for {n} slots")
-        pair = (min(i, j), max(i, j))
-        if pair in given and given[pair] != int(val):
-            raise InvalidSingularity(f"conflicting values for intersection {pair}")
-        given[pair] = int(val)
-
-    table = [[0] * n for _ in range(n)]
-    # close under conjugation symmetry, rejecting conflicts; conjugation is
-    # an involution on slot pairs, so one pass over the given entries
-    # reaches the closure
-    mirror = _mirror_slots(len(reals), n)
-    entries = dict(given)
-    for (i, j), v in given.items():
-        mi, mj = mirror[i], mirror[j]
-        mpair = (min(mi, mj), max(mi, mj))
-        if entries.setdefault(mpair, v) != v:
-            raise InvalidSingularity(
-                f"intersection {(i, j)}={v} conflicts with conjugate entry {mpair}={entries[mpair]}"
-            )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in entries:
-                raise InvalidSingularity(f"missing intersection entry for slots ({i},{j})")
-            table[i][j] = table[j][i] = entries[(i, j)]
-    return SingularityType(reals, pairs, tuple(tuple(row) for row in table))
+        val = _json_int(val)
+        for a, b in ((i, j), (mirror[i], mirror[j])):
+            if table[a][b] not in (None, val):
+                raise InvalidSingularity(f"intersection {key!r}={val} conflicts with ({a},{b})={table[a][b]}")
+            table[a][b] = table[b][a] = val
+    for i, row in enumerate(table):
+        if None in row:
+            raise InvalidSingularity(f"missing intersection entry for slots ({i},{row.index(None)})")
+    return SingularityType(reals, pairs, tuple(map(tuple, table)))
 
 
 def singularity_to_json(s: SingularityType) -> dict:
@@ -269,28 +254,20 @@ def singularity_to_json(s: SingularityType) -> dict:
 
 
 def invariants_report(s: SingularityType) -> dict:
-    """All classical invariants in one dict (the CLI/service payload),
-    from one multiplicity sequence per branch (a pair's two slots share
-    one) and one delta.  The table is symmetric with a zero diagonal, so
-    its pairwise sum is half its total."""
-    re_br, im_br = len(s.real_branches), len(s.conj_pairs)
-    delta = sum(map(sum, s.intersections)) // 2
-    multiplicity, branches = 0, []
+    """All classical invariants in one dict (the CLI/service payload), read
+    off the type; a pair's two slots share one branch entry's values."""
+    branches = []
     for b in s.real_branches + s.conj_pairs:
-        seq = multiplicity_sequence(b)
-        d = sum(m * (m - 1) // 2 for m in seq)
-        for kind in ("real",) if len(branches) < re_br else ("conj", "conj_mirror"):
+        for kind in ("real",) if len(branches) < s.re_br else ("conj", "conj_mirror"):
             branches.append({"slot": len(branches), "kind": kind, "char_exponents": list(b.char_exponents),
-                             "multiplicity_sequence": list(seq), "delta": d})
-            multiplicity += b.multiplicity
-            delta += d
+                             "multiplicity_sequence": list(b.multiplicity_sequence), "delta": b.delta})
     return {
-        "multiplicity": multiplicity,
-        "delta": delta,
-        "milnor": 2 * delta - re_br - 2 * im_br + 1,
-        "re_br": re_br,
-        "im_br": im_br,
-        "expected_nodes": delta - im_br,
-        "expected_inner_regions": delta - re_br - im_br + 1,
+        "multiplicity": s.multiplicity,
+        "delta": s.delta,
+        "milnor": s.milnor,
+        "re_br": s.re_br,
+        "im_br": s.im_br,
+        "expected_nodes": s.expected_nodes,
+        "expected_inner_regions": s.expected_inner_regions,
         "branches": branches,
     }

@@ -393,9 +393,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
             raise TraceError("assembly", f"no strand attached to slot {rot.index(0)} of vertex {v}")
     edge_paths = {e: xy[p] for e, p in enumerate(paths, start=1)}
     divide = _assemble(rotations, range(K, K + rim.size), edge_paths)
-    expected = family.expected_nodes
-    if expected is not None and K != expected:
-        raise TraceError("node-count", f"found {K} nodes, expected {expected}")
+    if sing is not None and K != sing.expected_nodes:
+        raise TraceError("node-count", f"found {K} nodes, expected {sing.expected_nodes}")
     return TracedDivide(divide, infos, edge_paths, TraceMeta(t, grid_n, W))
 
 
@@ -433,7 +432,8 @@ def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) 
     nodes-too-close, node-degree, resolution, node-near-boundary or
     transversality.  Those say the grid was too coarse for the picture at
     this t, which a smaller t would only shrink further.  Once the grid is
-    at its cap, every failure halves t, so no attempt repeats."""
+    at its cap, or starts above it, it stays, and every failure halves t,
+    so no attempt repeats."""
     if retries < 0:
         raise TraceError("parameters", "retries must be at least 0")
     t = family.t_default
@@ -444,7 +444,7 @@ def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) 
         except TraceError as exc:
             last_exc = exc
         attempts.append((t, grid_n, last_exc.reason))
-        next_n = min(2 * grid_n, 4096)
+        next_n = max(grid_n, min(2 * grid_n, 4096))
         if last_exc.reason not in GRID_REASONS or next_n == grid_n:
             t *= 0.5
         grid_n = next_n

@@ -30,7 +30,7 @@ from divides.alexander import (
     totient,
     w_sequence,
 )
-from divides.singularity import BranchType, branch_delta, milnor_number
+from divides.singularity import BranchType
 
 from oracles import (
     delta_conductor,
@@ -433,13 +433,13 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_degree_equals_milnor(self, T):
         v = to_cyclotomic(alexander_encode(T))
-        assert v.degree() == milnor_number(conj_pair_singularity(T))
+        assert v.degree() == conj_pair_singularity(T).milnor
 
     @given(conj_pair_types())
     @settings(max_examples=60, deadline=None)
-    def test_branch_delta_against_conductor(self, T):
+    def test_branch_type_delta_against_conductor(self, T):
         exps = branch_char_exponents(T)
-        assert branch_delta(BranchType(exps)) == delta_conductor(exps)
+        assert BranchType(exps).delta == delta_conductor(exps)
 
 
 class TestEnumerate:

@@ -20,7 +20,6 @@ from divides.families import (
     family_smooth_conjugate,
     radial_profile_levels,
 )
-from divides.singularity import expected_node_count, total_multiplicity
 from divides.tracing import TraceError, trace_divide
 
 from oracles import (
@@ -85,18 +84,17 @@ class TestChebyshevLike:
 class TestSmoothConjugate:
     def test_single_pair(self):
         fam = family_smooth_conjugate([{2: 1}])
-        assert fam.expected_nodes == 0
-        assert total_multiplicity(fam.singularity) == 2
+        assert fam.singularity.expected_nodes == 0
+        assert fam.singularity.multiplicity == 2
 
     def test_two_pairs_contact_two(self):
         fam = family_smooth_conjugate([{2: 1}, {2: -1}])
-        assert fam.expected_nodes == 6
-        assert expected_node_count(fam.singularity) == 6
+        assert fam.singularity.expected_nodes == 6
 
     def test_contact_from_first_differing_coefficient(self):
         fam = family_smooth_conjugate([{2: 1, 3: 1}, {2: 1, 3: -1}])
         # branches agree at exponent 2, differ at 3: n_12 = 3
-        assert fam.expected_nodes == 2 * (3 + 1)
+        assert fam.singularity.expected_nodes == 2 * (3 + 1)
 
     def test_identical_branches_rejected(self):
         with pytest.raises(FamilyError):
@@ -117,9 +115,9 @@ class TestSmoothConjugate:
 
 class TestOnePuiseuxPair:
     def test_counts(self):
-        assert family_one_puiseux_pair(2, 3, 1).expected_nodes == 5
-        assert family_one_puiseux_pair(2, 5, 1).expected_nodes == 7
-        assert family_one_puiseux_pair(3, 4, 1).expected_nodes == 14
+        assert family_one_puiseux_pair(2, 3, 1).singularity.expected_nodes == 5
+        assert family_one_puiseux_pair(2, 5, 1).singularity.expected_nodes == 7
+        assert family_one_puiseux_pair(3, 4, 1).singularity.expected_nodes == 14
 
     def test_non_coprime_rejected(self):
         with pytest.raises(FamilyError):
@@ -173,15 +171,15 @@ class TestOnePuiseuxPair:
 class TestSemiquasi:
     def test_two_ellipses(self):
         fam = family_semiquasi_pp([], [(1, 0, 1), (1, 0, 4)], [1, 2])
-        assert fam.expected_nodes == 4
+        assert fam.singularity.expected_nodes == 4
 
     def test_one_circle(self):
-        assert family_semiquasi_pp([], [(1, 0, 1)], [1]).expected_nodes == 0
+        assert family_semiquasi_pp([], [(1, 0, 1)], [1]).singularity.expected_nodes == 0
 
     def test_lines_and_circle(self):
         fam = family_semiquasi_pp([(1, 0), (0, 1)], [(1, 0, 1)], [1])
         # d = 4 transversal smooth branches, one conjugate pair
-        assert fam.expected_nodes == 5
+        assert fam.singularity.expected_nodes == 5
 
     def test_proportional_quadrics_rejected(self):
         with pytest.raises(FamilyError):
@@ -209,20 +207,19 @@ class TestEllipseComposition:
 
     def test_two_parts(self):
         fam = family_ellipse_composition([self.part((0, 1)), self.part((1, 1))], [1.0, 1.3])
-        assert fam.expected_nodes == 4
-        assert total_multiplicity(fam.singularity) == 4
-        assert expected_node_count(fam.singularity) == 4
+        assert fam.singularity.expected_nodes == 4
+        assert fam.singularity.multiplicity == 4
 
     def test_single_part_identity(self):
         part = self.part((0, 1))
         fam = family_ellipse_composition([part], [1.0])
-        assert fam.expected_nodes == part.expected_nodes
+        assert fam.singularity.expected_nodes == part.singularity.expected_nodes
         assert fam.singularity == part.singularity
 
     def test_smooth_with_one_pair(self):
         fam = _composition()
-        assert fam.expected_nodes == 13
-        assert total_multiplicity(fam.singularity) == 6
+        assert fam.singularity.expected_nodes == 13
+        assert fam.singularity.multiplicity == 6
         assert fam.singularity.intersections == ((0, 1, 2, 2), (1, 0, 2, 2), (2, 2, 0, 4), (2, 2, 4, 0))
 
     def test_part_with_real_branches_rejected(self):
@@ -248,8 +245,8 @@ class TestEllipseComposition:
 
 class TestParabolaPair:
     def test_counts(self):
-        assert family_parabola_pair(2).expected_nodes == 2
-        assert family_parabola_pair(4).expected_nodes == 4
+        assert family_parabola_pair(2).singularity.expected_nodes == 2
+        assert family_parabola_pair(4).singularity.expected_nodes == 4
 
     def test_n1_rejected(self):
         with pytest.raises(FamilyError):
@@ -259,7 +256,7 @@ class TestParabolaPair:
 class TestCustomExpression:
     def test_accepts_string(self):
         fam = family_from_expression("y**2 - x**2 + t", window=1.0)
-        assert fam.expected_nodes is None
+        assert fam.singularity is None
 
     def test_rejects_foreign_symbols(self):
         with pytest.raises(FamilyError, match="may only involve x, y, t; found z"):

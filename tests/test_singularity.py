@@ -1,20 +1,13 @@
 import pytest
 
-from divides.alexander import conj_pair_singularity, enumerate_conj_pair_types
+from divides.alexander import alexander_encode, conj_pair_singularity, enumerate_conj_pair_types, to_cyclotomic
 from divides.singularity import (
     BranchType,
     InvalidSingularity,
     SingularityType,
-    branch_delta,
-    delta_total,
-    expected_inner_regions,
-    expected_node_count,
     invariants_report,
-    milnor_number,
-    multiplicity_sequence,
     singularity_from_json,
     singularity_to_json,
-    total_multiplicity,
 )
 
 from fixtures import HANDPICKED
@@ -70,43 +63,43 @@ class TestBranchValidation:
 
 class TestMultiplicitySequence:
     def test_smooth(self):
-        assert multiplicity_sequence(SMOOTH) == [1]
+        assert list(SMOOTH.multiplicity_sequence) == [1]
 
     def test_cusp(self):
         # hand blow-up of y^2 = x^3: multiplicities 2, 1, 1
-        assert multiplicity_sequence(CUSP) == [2, 1, 1]
+        assert list(CUSP.multiplicity_sequence) == [2, 1, 1]
 
     def test_two_pair_example(self):
-        seq = multiplicity_sequence(BranchType((4, 6, 7)))
+        seq = list(BranchType((4, 6, 7)).multiplicity_sequence)
         assert seq == blowup_multiplicity_sequence((4, 6, 7))
         assert sum(m * (m - 1) // 2 for m in seq) == 8
 
     def test_non_increasing_and_first_entry(self):
         for exps in small_branch_grid():
             b = BranchType(exps)
-            seq = multiplicity_sequence(b)
+            seq = list(b.multiplicity_sequence)
             assert seq[0] == exps[0]
             assert all(x >= y for x, y in zip(seq, seq[1:]))
             assert seq[-1] == 1 or len(seq) == 1
 
     def test_matches_blowup_oracle_on_grid(self):
         for exps in small_branch_grid():
-            assert multiplicity_sequence(BranchType(exps)) == blowup_multiplicity_sequence(exps), exps
+            assert list(BranchType(exps).multiplicity_sequence) == blowup_multiplicity_sequence(exps), exps
 
 
 class TestBranchDelta:
     def test_values(self):
-        assert branch_delta(SMOOTH) == 0
-        assert branch_delta(CUSP) == 1
+        assert SMOOTH.delta == 0
+        assert CUSP.delta == 1
 
     def test_matches_blowup_oracle_on_grid(self):
         for exps in small_branch_grid():
             b = BranchType(exps)
-            assert branch_delta(b) == blowup_delta(exps), exps
+            assert b.delta == blowup_delta(exps), exps
 
     def test_matches_conductor_formula_on_grid(self):
         for exps in small_branch_grid():
-            assert branch_delta(BranchType(exps)) == delta_conductor(exps), exps
+            assert BranchType(exps).delta == delta_conductor(exps), exps
 
 
 class TestSingularityValidation:
@@ -136,37 +129,37 @@ class TestSingularityValidation:
 
     def test_single_smooth_branch(self):
         s = SingularityType((SMOOTH,), ())
-        assert delta_total(s) == 0
-        assert milnor_number(s) == 0
+        assert s.delta == 0
+        assert s.milnor == 0
 
 
 class TestInvariants:
     def test_node(self):
         s = node_type()
-        assert delta_total(s) == 1
-        assert milnor_number(s) == 1
-        assert expected_node_count(s) == 1
-        assert expected_inner_regions(s) == 0
+        assert s.delta == 1
+        assert s.milnor == 1
+        assert s.expected_nodes == 1
+        assert s.expected_inner_regions == 0
 
     def test_conjugate_cusp_pair(self):
         s = conj_cusp_pair()
-        assert delta_total(s) == 6
-        assert milnor_number(s) == 11
+        assert s.delta == 6
+        assert s.milnor == 11
         # (p-1)(p+q) with p=2, q=3
-        assert expected_node_count(s) == 5
-        assert expected_inner_regions(s) == 6
+        assert s.expected_nodes == 5
+        assert s.expected_inner_regions == 6
 
     def test_smooth_conjugate_pair_transversal(self):
         s = SingularityType((), (SMOOTH,), table(2, 1))
-        assert delta_total(s) == 1
-        assert expected_node_count(s) == 0
-        assert milnor_number(s) == 1
+        assert s.delta == 1
+        assert s.expected_nodes == 0
+        assert s.milnor == 1
 
     def test_ordinary_cusp(self):
         s = SingularityType((CUSP,), ())
-        assert milnor_number(s) == 2
-        assert expected_node_count(s) == 1
-        assert expected_inner_regions(s) == 1
+        assert s.milnor == 2
+        assert s.expected_nodes == 1
+        assert s.expected_inner_regions == 1
 
     def test_milnor_identity_on_samples(self):
         samples = [
@@ -182,11 +175,11 @@ class TestInvariants:
             )),
         ]
         for s in samples:
-            assert milnor_number(s) == expected_node_count(s) + expected_inner_regions(s)
+            assert s.milnor == s.expected_nodes + s.expected_inner_regions
 
-    def test_total_multiplicity(self):
-        assert total_multiplicity(conj_cusp_pair()) == 4
-        assert total_multiplicity(node_type()) == 2
+    def test_multiplicity(self):
+        assert conj_cusp_pair().multiplicity == 4
+        assert node_type().multiplicity == 2
 
 
 class TestJson:
@@ -226,34 +219,57 @@ class TestJson:
         with pytest.raises(InvalidSingularity):
             singularity_from_json({"real_branches": [], "conj_pairs": [], "intersections": {}})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"real_branches": [{"char_exponents": [2.9, 3.2]}]},
+            {"real_branches": [{"char_exponents": [1]}] * 2, "intersections": {"0,1": 2.7}},
+            {"real_branches": [{"char_exponents": [1]}] * 2, "intersections": {"0,1": True}},
+        ],
+        ids=["float-exponents", "float-value", "bool-value"],
+    )
+    def test_rejects_non_integers(self, obj):
+        # read as int(), these were the cusp (2, 3), a tangency 2 and a node
+        with pytest.raises(InvalidSingularity, match="expected an integer"):
+            singularity_from_json(obj)
+
     def test_report_fields(self):
         rep = invariants_report(node_type())
         assert rep["delta"] == 1 and rep["expected_nodes"] == 1
         assert len(rep["branches"]) == 2
 
 
-def assert_report_matches_functions(s):
+def assert_report_matches_oracles(s):
+    """The type's stored invariants and invariants_report against values
+    computed without them: each slot's delta, and the m(m-1)/2 sum of its
+    multiplicity sequence, by the conductor formula; the type's delta as
+    those plus the table's entries above the diagonal; the multiplicity as
+    the slots' first exponents; and mu = nodes + inner regions."""
     rep = invariants_report(s)
-    assert rep["multiplicity"] == total_multiplicity(s)
-    assert rep["delta"] == delta_total(s)
-    assert rep["milnor"] == milnor_number(s)
+    n = s.slot_count
+    deltas = [delta_conductor(s.slot_branch(k).char_exponents) for k in range(n)]
+    assert [s.slot_branch(k).delta for k in range(n)] == [b["delta"] for b in rep["branches"]] == deltas
+    assert [sum(m * (m - 1) // 2 for m in b["multiplicity_sequence"]) for b in rep["branches"]] == deltas
+    delta = sum(deltas) + sum(s.intersections[i][j] for i in range(n) for j in range(i + 1, n))
+    assert s.delta == rep["delta"] == delta
+    assert s.multiplicity == rep["multiplicity"] == sum(s.slot_branch(k).char_exponents[0] for k in range(n))
     assert (rep["re_br"], rep["im_br"]) == (s.re_br, s.im_br)
-    assert rep["expected_nodes"] == expected_node_count(s)
-    assert rep["expected_inner_regions"] == expected_inner_regions(s)
-    branches = [s.slot_branch(k) for k in range(s.slot_count)]
-    assert [b["multiplicity_sequence"] for b in rep["branches"]] == [multiplicity_sequence(b) for b in branches]
-    assert [b["delta"] for b in rep["branches"]] == [branch_delta(b) for b in branches]
+    assert (rep["expected_nodes"], rep["expected_inner_regions"]) == (s.expected_nodes, s.expected_inner_regions)
+    assert s.milnor == rep["milnor"] == s.expected_nodes + s.expected_inner_regions
 
 
 class TestReportAgainstFunctions:
-    """invariants_report computes delta once and derives the counts from it;
-    every field must equal the function that computes it alone."""
+    """Every stored invariant and every report field against the oracle
+    functions: the conductor formula for delta, and for a conjugate pair
+    the degree of its Alexander polynomial for mu."""
 
     def test_conj_pair_types(self):
         types = list(enumerate_conj_pair_types(3, 4, 25))
         assert len(types) == 2127
         for T in types:
-            assert_report_matches_functions(conj_pair_singularity(T))
+            s = conj_pair_singularity(T)
+            assert_report_matches_oracles(s)
+            assert s.milnor == to_cyclotomic(alexander_encode(T)).degree(), T
 
     @pytest.mark.parametrize(
         "s",
@@ -267,8 +283,8 @@ class TestReportAgainstFunctions:
         ids=["node", "cusp", "two-cusps", "line-and-pair", "line-and-cusp-pair"],
     )
     def test_types_with_real_branches(self, s):
-        assert_report_matches_functions(s)
+        assert_report_matches_oracles(s)
 
     @pytest.mark.parametrize("name", sorted(HANDPICKED))
     def test_family_singularities(self, name):
-        assert_report_matches_functions(HANDPICKED[name]().singularity)
+        assert_report_matches_oracles(HANDPICKED[name]().singularity)

@@ -74,7 +74,7 @@ def test_semiquasi_two_lines_two_conics():
     family = family_semiquasi_pp([(1, 0), (0, 1)], [(1, 0, 2), (2, 0, 1)], [1, 1])
     traced = trace_with_retries(family, retries=0)
     assert_certified(family, traced)
-    assert len(traced.nodes) == family.expected_nodes == 13
+    assert len(traced.nodes) == family.singularity.expected_nodes == 13
 
 
 def test_branch_recorded_into_the_rim_at_both_ends():
@@ -405,7 +405,7 @@ def test_retry_schedule(monkeypatch):
     """Each retry doubles the grid, and after a "node-count" failure, which
     is not one of GRID_REASONS, it halves t.  A failure in GRID_REASONS
     keeps t while the grid can grow, and halves it once the grid is at its
-    cap.  t and grid_n reach trace_divide as keywords, where the
+    cap or above it.  t and grid_n reach trace_divide as keywords, where the
     benchmark's span probe reads them."""
     calls = []
 
@@ -435,6 +435,12 @@ def test_retry_schedule(monkeypatch):
         {"t": t0 / 4, "grid_n": 4096},
     ]
     assert exc.value.attempts == tuple((c["t"], c["grid_n"], "resolution") for c in calls)
+
+    # a grid above the cap is kept, so every failure halves t
+    calls.clear()
+    with pytest.raises(TraceError):
+        trace_with_retries(family, grid_n=8192, retries=2)
+    assert calls == [{"t": t0, "grid_n": 8192}, {"t": t0 / 2, "grid_n": 8192}, {"t": t0 / 4, "grid_n": 8192}]
 
 
 def test_grid_failures_keep_t():
