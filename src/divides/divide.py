@@ -384,7 +384,9 @@ def divide_from_json(obj: dict) -> Divide:
             obj.get("boundary", ()),
             obj.get("outer_face"),
         )
-    except (KeyError, TypeError) as exc:
+    except StructureError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed divide JSON: {exc}") from exc
     written = divide_to_json(d)
     for key in ("crossings", "branches"):

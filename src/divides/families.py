@@ -20,6 +20,7 @@ polynomials Re and Im of its powers are read off as .real and .imag.
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,21 +133,16 @@ def _power(A: np.ndarray, n: int) -> np.ndarray:
     return reduce(_mul, [A] * n, np.ones((1,) * A.ndim, A.dtype))
 
 
-def _w(alpha, beta) -> np.ndarray:
-    """w = x + (alpha + i beta) y, a complex matrix."""
-    return np.array([[0, complex(float(alpha), float(beta))], [1, 0]])
-
-
-def _ellipse_extent(alpha, beta) -> float:
-    """Extent in x and y of the unit ellipse u^2 + v^2 = 1."""
+def _tangent(alpha, beta) -> tuple[np.ndarray, float, tuple[float, float, float]]:
+    """The conjugate tangent pair u = +-iv, u = x + alpha y, v = beta y:
+    w = x + (alpha + i beta) y as a complex matrix, the extent in x and y
+    of the unit ellipse u^2 + v^2 = 1, and its coefficients (A, B, C), as
+    u^2 + v^2 = x^2 + 2 alpha x y + (alpha^2 + beta^2) y^2."""
     a, b = float(alpha), float(beta)
-    return max(1.0 + abs(a) / abs(b), 1.0 / abs(b))
-
-
-def _quad_coeffs(alpha, beta) -> tuple[float, float, float]:
-    # u^2 + v^2 = x^2 + 2 alpha x y + (alpha^2 + beta^2) y^2
-    a, b = float(alpha), float(beta)
-    return (1.0, 2.0 * a, a * a + b * b)
+    if b == 0:
+        raise FamilyError("beta must be nonzero: tangents must be non-real")
+    return (np.array([[0, complex(a, b)], [1, 0]]), max(1.0 + abs(a) / abs(b), 1.0 / abs(b)),
+            (1.0, 2.0 * a, a * a + b * b))
 
 
 def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilySpec:
@@ -158,9 +154,7 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
     2 n_ij + 2 points, n_ij being the first exponent where the series
     differ.
     """
-    alpha, beta = tangent
-    if float(beta) == 0:
-        raise FamilyError("beta must be nonzero: tangents must be non-real")
+    w, ext, quad = _tangent(*tangent)
     data = [{int(nexp): complex(a) for nexp, a in spec.items()} for spec in branches]
     if any(nexp <= 1 for coeffs in data for nexp in coeffs):
         raise FamilyError("series exponents must exceed 1")
@@ -169,15 +163,13 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
         raise FamilyError("need at least one branch pair")
 
     n_pairwise = {}
-    for i in range(s):
-        for j in range(i + 1, s):
-            exps = sorted(data[i].keys() | data[j].keys())
-            n_ij = next((nexp for nexp in exps if data[i].get(nexp, 0) != data[j].get(nexp, 0)), None)
-            if n_ij is None:
-                raise FamilyError(f"branches {i} and {j} coincide; the curve would be non-reduced")
-            n_pairwise[(i, j)] = n_ij
+    for i, j in itertools.combinations(range(s), 2):
+        exps = sorted(data[i].keys() | data[j].keys())
+        n_ij = next((nexp for nexp in exps if data[i].get(nexp, 0) != data[j].get(nexp, 0)), None)
+        if n_ij is None:
+            raise FamilyError(f"branches {i} and {j} coincide; the curve would be non-reduced")
+        n_pairwise[i, j] = n_pairwise[j, i] = n_ij
 
-    w = _w(alpha, beta)
     circles = []
     for coeffs in data:
         # w conj - g(w) = (u - Re g) - i (v + Im g), whose squared modulus is
@@ -185,21 +177,12 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
         d = _add(w.conj(), *(-a * _power(w, nexp) for nexp, a in coeffs.items()))
         circles.append(_add(_mul(d.real, d.real), _mul(d.imag, d.imag)))
 
-    smooth = BranchType((1,))
-    table = [[0] * (2 * s) for _ in range(2 * s)]
-    for i in range(s):
-        qi, qbi = 2 * i, 2 * i + 1
-        table[qi][qbi] = table[qbi][qi] = 1
-        for j in range(i + 1, s):
-            qj, qbj = 2 * j, 2 * j + 1
-            nij = n_pairwise[(i, j)]
-            table[qi][qj] = table[qj][qi] = nij
-            table[qbi][qbj] = table[qbj][qbi] = nij
-            table[qi][qbj] = table[qbj][qi] = 1
-            table[qbi][qj] = table[qj][qbi] = 1
-    sing = SingularityType((), (smooth,) * s, tuple(tuple(r) for r in table))
+    # slot (i, conj): the same side of two pairs meets in n_ij, all else in 1
+    slots = [(i, conj) for i in range(s) for conj in (0, 1)]
+    table = tuple(tuple(0 if (i, c) == (j, d) else n_pairwise[i, j] if i != j and c == d else 1
+                        for j, d in slots) for i, c in slots)
+    sing = SingularityType((), (BranchType((1,)),) * s, table)
 
-    ext = _ellipse_extent(alpha, beta)
     max_exp = max((max(c) for c in data if c), default=2)
 
     def window(t):
@@ -219,7 +202,7 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
         t_default=t_def,
         window=window,
         singularity=sing,
-        quads=(_quad_coeffs(alpha, beta),),
+        quads=(quad,),
     )
 
 
@@ -227,39 +210,20 @@ def chebyshev_like(p: int, c: float) -> list[float]:
     """Monic degree-p polynomial with critical values alternating between
     -2c and +2c and roots summing to zero.
 
-    Built by rescaling the monic Chebyshev polynomial on [-2, 2]:
-    P(x) = c * C_p(x / c^(1/p)).  Coefficients are returned lowest degree
-    first; the construction is verified to residual 1e-12 on the critical
-    values and the root sum.
+    Built by rescaling the monic Chebyshev polynomial on [-2, 2],
+    C_p(x) = 2 T_p(x/2): P(x) = c * C_p(x / c^(1/p)).  Coefficients are
+    returned lowest degree first.  Each is an integer times a power of c,
+    and there is no x^(p-1) term, so the roots sum to zero; the critical
+    values are exact up to rounding, and radial_profile_levels, which needs
+    them exact, solves for them.
     """
     if p < 2:
         raise FamilyError("degree must be at least 2")
     if not c > 0:
         raise FamilyError("critical level c must be positive")
-    # monic Chebyshev on [-2, 2]: C_0 = 2, C_1 = x, C_{k+1} = x C_k - C_{k-1}
-    prev = [2.0]
-    cur = [0.0, 1.0]
-    for _ in range(p - 1):
-        nxt = [0.0] + cur
-        for k, vk in enumerate(prev):
-            nxt[k] -= vk
-        prev, cur = cur, nxt
+    monic = 2 * np.polynomial.chebyshev.cheb2poly([0] * p + [1]) / 2.0 ** np.arange(p + 1)
     scale = c ** (1.0 / p)
-    coeffs = [cur[j] * c * scale ** (-j) for j in range(p)] + [1.0]
-
-    poly = np.polynomial.Polynomial(coeffs)
-    crit = sorted(r.real for r in poly.deriv().roots() if abs(r.imag) < 1e-9)
-    if len(crit) != p - 1:
-        raise FamilyError("critical-point solve failed")
-    vals = [poly(lam) for lam in crit]
-    for k, val in enumerate(vals):
-        # ascending critical points carry values 2c*(-1)^(p-1-k)
-        want = -2 * c if (p - 1 - k) % 2 == 1 else 2 * c
-        if abs(val - want) > 1e-12 * max(1.0, 2 * c):
-            raise FamilyError(f"critical value {val} != {want} beyond tolerance")
-    if abs(sum(np.roots(coeffs[::-1]))) > 1e-10 * max(1.0, c):
-        raise FamilyError("roots do not sum to zero")
-    return coeffs
+    return [float(monic[j]) * c * scale ** (-j) for j in range(p)] + [1.0]
 
 
 def radial_profile_levels(p: int, q: int, abs_a: float, t: float) -> list[float]:
@@ -276,6 +240,8 @@ def radial_profile_levels(p: int, q: int, abs_a: float, t: float) -> list[float]
     cheb = chebyshev_like(p, abs_a)
     poly0 = np.polynomial.Polynomial(cheb)
     mu0 = sorted(r.real for r in poly0.deriv().roots() if abs(r.imag) < 1e-9)
+    if len(mu0) != p - 1:
+        raise FamilyError("critical-point solve failed")
     targets = [(-2 * abs_a if (p - 1 - k) % 2 == 1 else 2 * abs_a) for k in range(p - 1)]
     m = p - 1
     vars0 = np.array(list(cheb[:m]) + mu0, dtype=float)
@@ -340,15 +306,12 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
         raise FamilyError("need 2 <= p < q")
     if gcd(p, q) != 1:
         raise FamilyError("p and q must be coprime")
-    alpha, beta = tangent
-    if float(beta) == 0:
-        raise FamilyError("beta must be nonzero")
+    w, ext, quad = _tangent(*tangent)
     a = complex(a)
     mod_a = abs(a)
     if mod_a == 0:
         raise FamilyError("a must be nonzero")
 
-    w = _w(alpha, beta)
     rho2 = _mul(w, w.conj()).real
     # a * conj(w)^N + conj(a) * w^N = 2 Re(conj(a) w^N)
     tail = 2 * (a.conjugate() * _power(w, p + q)).real
@@ -370,7 +333,6 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
             if abs(r.imag) < 1e-9:
                 lam0 = max(lam0, abs(r.real))
     lam0 *= 1.15
-    ext = _ellipse_extent(alpha, beta)
 
     def window(t):
         return ext * t * (1.0 + lam0 * t ** ((q - p) / p) + 0.3)
@@ -383,7 +345,7 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
         t_default=t_def,
         window=window,
         singularity=sing,
-        quads=(_quad_coeffs(alpha, beta),),
+        quads=(quad,),
     )
 
 
@@ -408,14 +370,10 @@ def family_semiquasi_pp(real_lines: Sequence[tuple], quadrics: Sequence[tuple], 
     for idx, (A, B, C) in enumerate(quads):
         if not (A > 0 and 4 * A * C - B * B > 0):
             raise FamilyError(f"quadric {idx} is not positive definite")
-    for idx in range(len(quads)):
-        for jdx in range(idx + 1, len(quads)):
-            if _proportional(quads[idx], quads[jdx]):
-                raise FamilyError(f"quadrics {idx} and {jdx} are proportional")
-    for idx in range(len(lines)):
-        for jdx in range(idx + 1, len(lines)):
-            if _proportional(lines[idx], lines[jdx]):
-                raise FamilyError(f"lines {idx} and {jdx} are proportional")
+    for name, forms in (("quadrics", quads), ("lines", lines)):
+        for (idx, u), (jdx, v) in itertools.combinations(enumerate(forms), 2):
+            if _proportional(u, v):
+                raise FamilyError(f"{name} {idx} and {jdx} are proportional")
     if any(bi <= 0 for bi in bs):
         raise FamilyError("levels b_i must be positive")
 
@@ -460,37 +418,27 @@ def _check_conic_pairs(quads, levels, label="quadrics"):
     """Raise FamilyError unless every conic pair meets in four real points
     and all these intersection points are pairwise distinct."""
     pts = []
-    for i in range(len(quads)):
-        for j in range(i + 1, len(quads)):
-            A1, B1, C1 = quads[i]
-            A2, B2, C2 = quads[j]
-            b1, b2 = levels[i], levels[j]
-            # pencil b2*q_i - b1*q_j vanishes on the intersection: a pair
-            # of lines through the origin; indefinite <=> 4 real points
-            qa, qb, qc = b2 * A1 - b1 * A2, b2 * B1 - b1 * B2, b2 * C1 - b1 * C2
-            disc = qb * qb - 4 * qa * qc
-            if disc <= 1e-12 * max(abs(qa), abs(qb), abs(qc)) ** 2:
-                raise FamilyError(
-                    f"{label} {i} and {j} do not meet in four real points (discriminant {disc})"
-                )
-            # lines qa x^2 + qb x y + qc y^2 = 0
-            if abs(qa) > 1e-14:
-                for root in np.roots([qa, qb, qc]):
-                    # x = root * y
-                    denom = A1 * root**2 + B1 * root + C1
-                    yv = math.sqrt(b1 / denom.real)
-                    pts += [(root.real * yv, yv), (-root.real * yv, -yv)]
-            else:
-                # one line is y = 0, the other is qb*x + qc*y = 0
-                pts += [(math.sqrt(b1 / A1), 0.0), (-math.sqrt(b1 / A1), 0.0)]
-                root = -qc / qb if abs(qb) > 1e-14 else 0.0
-                denom = A1 * root**2 + B1 * root + C1
-                yv = math.sqrt(b1 / denom)
-                pts += [(root * yv, yv), (-root * yv, -yv)]
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            if math.dist(p, q) < 1e-9:
-                raise FamilyError(f"{label} intersection points are not pairwise distinct")
+    for (i, (A1, B1, C1)), (j, (A2, B2, C2)) in itertools.combinations(enumerate(quads), 2):
+        b1, b2 = levels[i], levels[j]
+        # pencil b2*q_i - b1*q_j vanishes on the intersection: a pair
+        # of lines through the origin; indefinite <=> 4 real points
+        qa, qb, qc = b2 * A1 - b1 * A2, b2 * B1 - b1 * B2, b2 * C1 - b1 * C2
+        disc = qb * qb - 4 * qa * qc
+        if disc <= 1e-12 * max(abs(qa), abs(qb), abs(qc)) ** 2:
+            raise FamilyError(
+                f"{label} {i} and {j} do not meet in four real points (discriminant {disc})"
+            )
+        # at angle theta the pencil is ((qa + qc) + R cos(2 theta - phi)) / 2,
+        # zero on two lines, each meeting conic i at +-r (cos theta, sin theta)
+        R, phi = math.hypot(qa - qc, qb), math.atan2(qb, qa - qc)
+        for sign in (1, -1):
+            theta = (phi + sign * math.acos(-(qa + qc) / R)) / 2
+            c, s = math.cos(theta), math.sin(theta)
+            r = math.sqrt(b1 / (A1 * c * c + B1 * c * s + C1 * s * s))
+            pts += [(r * c, r * s), (-r * c, -r * s)]
+    for p, q in itertools.combinations(pts, 2):
+        if math.dist(p, q) < 1e-9:
+            raise FamilyError(f"{label} intersection points are not pairwise distinct")
 
 
 def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[float]) -> FamilySpec:
@@ -512,10 +460,9 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
         if len(spec.quads) != 1:
             raise FamilyError(f"part {i} is not one conjugate tangent pair without real branches")
     quads = tuple(spec.quads[0] for spec in parts)
-    for i in range(len(quads)):
-        for j in range(i + 1, len(quads)):
-            if _proportional(quads[i], quads[j]):
-                raise FamilyError(f"parts {i} and {j} share their tangent pair")
+    for (i, u), (j, v) in itertools.combinations(enumerate(quads), 2):
+        if _proportional(u, v):
+            raise FamilyError(f"parts {i} and {j} share their tangent pair")
     if len(parts) > 1:
         _check_conic_pairs(quads, gam, label="part ellipses")
 

@@ -86,10 +86,6 @@ class BranchType:
     def multiplicity(self) -> int:
         return self.char_exponents[0]
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.char_exponents == (1,)
-
 
 def _mirror_slots(re_br: int, n: int) -> list[int]:
     """The slot of the conjugate branch, for each of n slots: a real branch
@@ -214,6 +210,8 @@ def _json_int(x) -> int:
 
 def singularity_from_json(obj: dict) -> SingularityType:
     """The type that ``obj``, in the wire format above, describes."""
+    if not isinstance(obj, dict):
+        raise InvalidSingularity(f"a singularity type is a JSON object, got {obj!r}")
     try:
         reals, pairs = ([BranchType(tuple(map(_json_int, b["char_exponents"]))) for b in obj.get(key, [])]
                         for key in ("real_branches", "conj_pairs"))
@@ -222,11 +220,14 @@ def singularity_from_json(obj: dict) -> SingularityType:
     n = len(reals) + 2 * len(pairs)
     mirror = _mirror_slots(len(reals), n)
     table = [[0 if i == j else None for j in range(n)] for i in range(n)]
-    for key, val in obj.get("intersections", {}).items():
+    intersections = obj.get("intersections", {})
+    if not isinstance(intersections, dict):
+        raise InvalidSingularity(f"intersections must be an object, got {intersections!r}")
+    for key, val in intersections.items():
         try:
             i_s, j_s = key.split(",")
             i, j = int(i_s), int(j_s)
-        except ValueError as exc:
+        except (AttributeError, ValueError) as exc:
             raise InvalidSingularity(f"bad intersection key {key!r}, expected 'i,j'") from exc
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise InvalidSingularity(f"intersection key {key!r} out of range for {n} slots")

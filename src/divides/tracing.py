@@ -41,8 +41,10 @@ slots 0-3 in counterclockwise order; the rim endpoint of rank r in boundary
 order, counterclockwise from the corner (-W, -W), is vertex K + r; the l-th
 crossing-free loop, one more strand after all the others, is marker vertex
 K + R + l with rotation [e, -e].  Strand e writes e into the slot it leaves
-and -e into the one it enters; a slot claimed twice or left empty raises
-"assembly".  The Divide derives its branch walks from the table.
+and -e into the one it enters.  A slot left empty keeps the half-edge id 0,
+and a slot claimed twice loses a half-edge; the Divide refuses both, and
+the trace raises "validation".  The Divide derives its branch walks from
+the table.
 
 A real branch crosses the boundary of a Milnor ball twice and a conjugate
 pair not at all.  The square window stands in for that ball, so when the
@@ -381,16 +383,11 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
             paths.append(walk(p))
             e = len(paths)
             for (v, s), h in ((port_of[p], e), (port_of[paths[-1][-1]], -e)):
-                if rotations[v][s]:
-                    raise TraceError("assembly", f"two strands claim slot {s} of vertex {v}")
                 rotations[v][s] = h
     for p in by_position(np.flatnonzero(~(cut | seen))).tolist():
         if not seen[p] and p not in port_of:
             paths.append(walk(p))
             rotations[len(rotations)] = [len(paths), -len(paths)]
-    for v, rot in rotations.items():
-        if 0 in rot:
-            raise TraceError("assembly", f"no strand attached to slot {rot.index(0)} of vertex {v}")
     edge_paths = {e: xy[p] for e, p in enumerate(paths, start=1)}
     divide = _assemble(rotations, range(K, K + rim.size), edge_paths)
     if sing is not None and K != sing.expected_nodes:
@@ -401,20 +398,12 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
 def _assemble(rotations, boundary, edge_paths) -> Divide:
     outer_face = None
     if not boundary:
-        # leftmost sample point over all edges; the half-edge moving upward
-        # there has the outside of the curve on its left
-        best = None
-        for e, path in edge_paths.items():
-            if len(path) < 2:
-                continue
-            idx = int(np.argmin(path[:, 0]))
-            if best is None or path[idx, 0] < best[0]:
-                j = min(max(idx, 1), len(path) - 1)
-                dy = path[j, 1] - path[j - 1, 1]
-                best = (path[idx, 0], e if dy > 0 else -e)
-        if best is None:
-            raise TraceError("assembly", "cannot determine the outer face")
-        outer_face = best[1]
+        # leftmost sample point over all edges (each walk has two points at
+        # least); the half-edge moving upward there has the outside of the
+        # curve on its left
+        e, path = min(edge_paths.items(), key=lambda item: item[1][:, 0].min())
+        j = max(int(np.argmin(path[:, 0])), 1)
+        outer_face = e if path[j, 1] > path[j - 1, 1] else -e
 
     try:
         divide = Divide(rotations, boundary, outer_face)

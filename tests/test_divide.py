@@ -60,6 +60,16 @@ class TestStructure:
         with pytest.raises(StructureError):
             Divide(rotations, boundary)
 
+    # a slot left empty keeps the id 0, and a slot written twice loses the
+    # half-edge written first: the tracer leaves both to these checks
+    def test_empty_slot(self):
+        with pytest.raises(StructureError, match="half-edge id 0 at vertex 0"):
+            Divide({0: [2, 4, -1, 0], 1: [1], 2: [-2], 3: [-3], 4: [-4]}, [2, 4, 1, 3])
+
+    def test_lost_half_edge(self):
+        with pytest.raises(StructureError, match="edge 3 is missing one of its half-edges"):
+            Divide({0: [2, 4, -1, 3], 1: [1], 2: [-2], 4: [-4]}, [2, 4, 1])
+
     def test_json_roundtrip_bit_exact(self):
         import json
 
@@ -79,6 +89,20 @@ class TestStructure:
         obj["branches"][0]["walk"] = [1, 2]
         with pytest.raises(StructureError):
             divide_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"rotations": []}, {"rotations": {"a": [1, -1]}, "outer_face": -1},
+         {"rotations": {"0": ["x", -1]}, "outer_face": -1}],
+        ids=["list", "vertex-key", "half-edge"],
+    )
+    def test_json_malformed(self, obj):
+        with pytest.raises(StructureError, match="malformed divide JSON"):
+            divide_from_json(obj)
+
+    def test_json_keeps_the_structure_message(self):
+        with pytest.raises(StructureError, match="^vertex 0 has valence 3$"):
+            divide_from_json({"rotations": {"0": [1, -1, 2]}, "outer_face": -1})
 
 
 class TestBranchWalks:

@@ -64,6 +64,13 @@ class TestChebyshevLike:
         with pytest.raises(FamilyError):
             chebyshev_like(3, -1.0)
 
+    @pytest.mark.parametrize("p", range(2, 21))
+    def test_exact_chebyshev_coefficients(self, p):
+        # 2 T_p(x/2) has integer coefficients, each exact in a float
+        x = sympy.Symbol("x")
+        exact = sympy.Poly(2 * sympy.chebyshevt(p, x / 2), x).all_coeffs()[::-1]
+        assert chebyshev_like(p, 1.0) == [float(a) for a in exact]
+
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_certification(self, p, c):
@@ -199,6 +206,12 @@ class TestSemiquasi:
         # there and the pairs' intersection points coincide
         with pytest.raises(FamilyError, match="not pairwise distinct"):
             family_semiquasi_pp([], [(1, 0, 1), (2, 0, 1), (1, 0, 2)], [2, 3, 3])
+
+    def test_shared_points_on_a_coordinate_axis_rejected(self):
+        # every pencil has no x^2 term (qa = 0), so one of its lines is
+        # y = 0, and every pair meets at (+-1, 0)
+        with pytest.raises(FamilyError, match="not pairwise distinct"):
+            family_semiquasi_pp([], [(1, 0, 1), (1, 1, 2), (1, -1, 3)], [1, 1, 1])
 
 
 class TestEllipseComposition:

@@ -33,7 +33,6 @@ def conj_cusp_pair():
 
 class TestBranchValidation:
     def test_smooth_ok(self):
-        assert SMOOTH.is_smooth
         assert SMOOTH.multiplicity == 1
 
     def test_rejects_smooth_with_extra_exponents(self):
@@ -231,6 +230,20 @@ class TestJson:
     def test_rejects_non_integers(self, obj):
         # read as int(), these were the cusp (2, 3), a tangency 2 and a node
         with pytest.raises(InvalidSingularity, match="expected an integer"):
+            singularity_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([], "a singularity type is a JSON object"),
+            ({"intersections": []}, "intersections must be an object"),
+            ({"intersections": "0,1"}, "intersections must be an object"),
+            ({"real_branches": [{"char_exponents": [1]}] * 2, "intersections": {1: 1}}, "bad intersection key 1"),
+        ],
+        ids=["top-level-list", "list", "string", "int-key"],
+    )
+    def test_rejects_malformed_json(self, obj, message):
+        with pytest.raises(InvalidSingularity, match=message):
             singularity_from_json(obj)
 
     def test_report_fields(self):

@@ -390,6 +390,24 @@ def test_node_count_checked_against_the_singularity(intersection, ok):
         assert str(exc.value) == "found 1 nodes, expected 2"
 
 
+@pytest.mark.parametrize(
+    "rotations, message",
+    [
+        # slot 3 of the node and the one of rim vertex 3 left empty
+        ({0: [2, 4, -1, 0], 1: [1], 2: [-2], 3: [0], 4: [-4]}, "half-edge id 0 at vertex 0"),
+        # strand 3 entering slot 1 of the node, over strand 4, leaves slot 3
+        # empty and half-edge 4 lost
+        ({0: [2, -3, -1, 0], 1: [1], 2: [-2], 3: [3], 4: [-4]}, "half-edge id 0 at vertex 0"),
+    ],
+    ids=["empty-slot", "slot-claimed-twice"],
+)
+def test_slot_refusals_read_validation(rotations, message):
+    """The assembly leaves its slot checks to the Divide."""
+    with pytest.raises(TraceError, match=message) as exc:
+        tracing._assemble(rotations, [2, 4, 1, 3], {})
+    assert exc.value.reason == "validation"
+
+
 def test_wrong_node_count_exhausts_the_retries():
     """The exhausted retries name every failed attempt with its reason."""
     family = _crossing_lines(2)
