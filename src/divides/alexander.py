@@ -189,10 +189,15 @@ def branch_char_exponents(T: ConjPairType) -> tuple[int, ...]:
     return (suf[0],) + tuple(mk * bk for mk, nk, bk in zip(T.m, T.n, suf[1:]) if nk > 1)
 
 
+_branch = lru_cache(maxsize=None)(BranchType)
+
+
 def conj_pair_singularity(T: ConjPairType) -> SingularityType:
     """The two-branch singularity (pair plus its intersection) in the
-    invariant model's terms."""
-    branch = BranchType(branch_char_exponents(T))
+    invariant model's terms.  Branch types are frozen, so they are interned and
+    each is validated once: 1,292 serve the 19,358 types of
+    enumerate_conj_pair_types(4, 5, 40)."""
+    branch = _branch(branch_char_exponents(T))
     q = T.intersection
     table = ((0, q), (q, 0))
     return SingularityType((), (branch,), table)
@@ -303,11 +308,11 @@ def alexander_encode(T: ConjPairType) -> FactorForm:
 
 
 def _factor_map(T: ConjPairType) -> dict[int, int]:
-    """The factors of alexander_encode(T) as N -> k, merged but with zeros
-    kept."""
-    s, i, n = T.s, T.i, T.n
-    w = w_sequence(T.m, n)
-    suf = _suffix_products(n)
+    return _factors(T.i, T.n, w_sequence(T.m, T.n), _suffix_products(T.n))
+
+
+def _factors(i, n, w, suf) -> dict[int, int]:
+    """alexander_encode's factors as N -> k, zeros kept, from n's w_sequence w and _suffix_products suf."""
     fac = {1: 1, 2 * suf[0]: -1}
     for j in range(1, i + 1):  # 1-based j <= i
         U, L = 2 * w[j - 1] * suf[j - 1], 2 * w[j - 1] * suf[j]
@@ -316,7 +321,7 @@ def _factor_map(T: ConjPairType) -> dict[int, int]:
     S, L = 2 * w[i] * suf[i], 2 * w[i] * suf[i + 1]
     fac[S] = fac.get(S, 0) + 2
     fac[L] = fac.get(L, 0) - 1
-    for j in range(i + 2, s + 1):
+    for j in range(i + 2, len(n) + 1):
         e = w[i] * suf[i] * (suf[i + 1] // suf[j - 1]) + w[j - 1] * suf[j]
         fac[n[j - 1] * e] = fac.get(n[j - 1] * e, 0) + 2
         fac[e] = fac.get(e, 0) - 2
@@ -344,8 +349,8 @@ def peel_sequence(v: CycloVector) -> tuple[tuple[int, int], ...]:
     return tuple(entries)
 
 
-def _read_peel(entries) -> tuple[int, int, list[int], list[int]]:
-    """Read (s, i, m, n) off the peel sequence of an encoded vector.
+def _read_peel(entries) -> tuple[int, int, list[int], list[int], list[int], list[int]]:
+    """Read (s, i, m, n, w, suf) off the peel sequence of an encoded vector.
 
     In descending order, the peel sequence of alexander_encode(T) is its
     factor form: (n_j e_j, +2), (e_j, -2) for j = s .. i+2; the head,
@@ -353,7 +358,8 @@ def _read_peel(entries) -> tuple[int, int, list[int], list[int]]:
     S = 2 w_{i+1} b_{i+1,s}; (U_j, +1), (L_j, -1) with U_j = 2 w_j b_{j,s}
     and L_j = U_j / n_j for j = i .. 1; (2n, -1); (1, +1).  When i = 0 and
     n_1 = m_1 = 1, all that follows the top pairs cancels to (1, +1).
-    Nothing here checks that form: alexander_decode re-encodes the result.
+    Nothing here checks that form: alexander_decode re-encodes the result from
+    w and suf, which equal w_sequence(m, n) and _suffix_products(n) exactly.
     Indices strictly decrease along a peel sequence, so every ratio read
     here is at least 1.
     """
@@ -384,7 +390,7 @@ def _read_peel(entries) -> tuple[int, int, list[int], list[int]]:
     m = [w[0]]  # inverse of w_sequence
     for j in range(1, s):
         m.append(w[j] - w[j - 1] * n[j - 1] * n[j] + m[j - 1] * n[j])
-    return s, i, m, n
+    return s, i, m, n, w, suf
 
 
 def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
@@ -393,18 +399,20 @@ def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
     (t - 1) decodes to NodeType.  Otherwise the read-off recovers every
     encoded type, and the encoding is injective, so v is in the image
     exactly when what was read is a valid type that re-encodes to v;
-    NotInImage is raised otherwise.  The re-encode is compared in factor
-    form with v's peel entries, which is the same test as comparing its
-    to_cyclotomic with v (see the module docstring).
+    NotInImage is raised otherwise.  The re-encode, made from the read-off w
+    and suffix products (the type's own: m is w's exact integer inverse), is
+    compared in factor form with v's peel entries, which is the same test as
+    comparing its to_cyclotomic with v (see the module docstring).
     """
     if v.exps == {1: 1}:
         return NodeType()
     entries = peel_sequence(v)
+    s, i, m, n, w, suf = _read_peel(entries)
     try:
-        T = ConjPairType(*_read_peel(entries))
+        T = ConjPairType(s, i, m, n)
     except InvalidConjPair as exc:
         raise NotInImage(f"read-off parameters are not a valid type: {exc}") from exc
-    if {N: k for N, k in _factor_map(T).items() if k} != dict(entries):
+    if {N: k for N, k in _factors(i, n, w, suf).items() if k} != dict(entries):
         raise NotInImage("read-off type does not re-encode to this vector")
     return T
 
@@ -434,6 +442,9 @@ def conj_pair_to_json(T: ConjPairType) -> dict:
 
 def conj_pair_from_json(obj: dict) -> ConjPairType:
     try:
-        return ConjPairType(int(obj["s"]), int(obj["i"]), tuple(obj["m"]), tuple(obj["n"]))
+        s, i, m, n = obj["s"], obj["i"], obj["m"], obj["n"]
     except (KeyError, TypeError) as exc:
         raise InvalidConjPair(f"malformed conjugate-pair data: {exc}") from exc
+    if type(m) is not list or type(n) is not list or any(type(x) is not int for x in (s, i, *m, *n)):
+        raise InvalidConjPair(f"s and i must be integers and m and n arrays of integers: {obj!r}")
+    return ConjPairType(s, i, tuple(m), tuple(n))

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -218,8 +219,8 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     its singularity, a node count other than the singularity's
     ("node-count").
     """
-    if grid_n < 64:
-        raise TraceError("parameters", "grid_n must be at least 64")
+    if not isinstance(grid_n, Integral) or grid_n < 64:
+        raise TraceError("parameters", "grid_n must be an integer of at least 64")
     t = family.t_default if t is None else float(t)
     if not 0 < t < math.inf:
         raise TraceError("parameters", "t must be positive and finite")
@@ -423,8 +424,8 @@ def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) 
     this t, which a smaller t would only shrink further.  Once the grid is
     at its cap, or starts above it, it stays, and every failure halves t,
     so no attempt repeats."""
-    if retries < 0:
-        raise TraceError("parameters", "retries must be at least 0")
+    if not isinstance(retries, Integral) or retries < 0:
+        raise TraceError("parameters", "retries must be an integer of at least 0")
     t = family.t_default
     attempts = []
     for _ in range(retries + 1):

@@ -16,6 +16,9 @@ from divides.alexander import (
     NotInImage,
     _cyclotomic_coeffs,
     _factor_map,
+    _factors,
+    _read_peel,
+    _suffix_products,
     alexander_decode,
     alexander_encode,
     branch_char_exponents,
@@ -30,7 +33,7 @@ from divides.alexander import (
     totient,
     w_sequence,
 )
-from divides.singularity import BranchType
+from divides.singularity import BranchType, SingularityType, invariants_report
 
 from oracles import (
     delta_conductor,
@@ -78,6 +81,24 @@ class TestValidation:
 
     def test_json_roundtrip(self):
         assert conj_pair_from_json(conj_pair_to_json(CONJ_CUSP)) == CONJ_CUSP
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"s": 1.9, "i": 0, "m": [5.5], "n": [3]},
+            {"s": 1.5, "i": 0, "m": [2], "n": [1]},
+            {"s": True, "i": 0, "m": [5], "n": [3]},
+            {"s": 1, "i": 0.0, "m": [5], "n": [3]},
+            {"s": 1, "i": 0, "m": [5.0], "n": [3]},
+            {"s": 1, "i": 0, "m": [5], "n": [True]},
+            {"s": 2, "i": 1, "m": "37", "n": "21"},
+            {"s": 1, "i": 0, "m": {"5": 1}, "n": [3]},
+        ],
+        ids=["float-s-and-m", "float-s", "bool-s", "float-i", "float-m", "bool-n", "string-arrays", "object-m"],
+    )
+    def test_json_reads_integers_only(self, obj):
+        with pytest.raises(InvalidConjPair):
+            conj_pair_from_json(obj)
 
 
 class TestDerived:
@@ -493,9 +514,23 @@ class TestPairIntersection:
     def test_stored_value_against_bruteforce(self):
         types = list(enumerate_conj_pair_types(4, 5, 40))
         assert len(types) == 19358
+        branches = {}
         for T in types:
             assert T.intersection == pair_intersection(T) == pair_intersection_bruteforce(T), T
-            assert conj_pair_singularity(T).intersections == ((0, T.intersection), (T.intersection, 0))
+            table = ((0, T.intersection), (T.intersection, 0))
+            sing = conj_pair_singularity(T)
+            assert sing.intersections == table
+            # the interned branch gives the report a fresh one gives, and
+            # equal exponents share one instance
+            fresh = SingularityType((), (BranchType(branch_char_exponents(T)),), table)
+            assert invariants_report(sing) == invariants_report(fresh), T
+            assert branches.setdefault(sing.conj_pairs[0].char_exponents, sing.conj_pairs[0]) is sing.conj_pairs[0]
+            # the decoder re-encodes from the read-off w and suffix products
+            s, i, m, n, w, suf = _read_peel(peel_sequence(to_cyclotomic(alexander_encode(T))))
+            assert (s, i, tuple(m), tuple(n)) == (T.s, T.i, T.m, T.n), T
+            assert (w, suf) == (w_sequence(m, n), _suffix_products(n)), T
+            assert _factors(i, n, w, suf) == _factor_map(T), T
+        assert len(branches) == 1292
 
     def test_odd_split_slot_never_coincides(self):
         # the lemma behind the closed form: once n_{i+1} is odd, some tau-

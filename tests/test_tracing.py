@@ -560,13 +560,20 @@ def test_window_refusals_certify_on_their_retries(branches, tangent, t_ratio, gr
         lambda fam: trace_divide(fam, t=math.nan),
         lambda fam: trace_divide(fam, t=math.inf),
         lambda fam: trace_with_retries(fam, retries=-1),
+        lambda fam: trace_divide(fam, grid_n=512.0),
+        lambda fam: trace_with_retries(fam, retries=1.5),
     ],
-    ids=["window-negative", "t-nan", "t-inf", "retries-negative"],
+    ids=["window-negative", "t-nan", "t-inf", "retries-negative", "grid_n-float", "retries-float"],
 )
 def test_bad_parameters_are_refused(attempt):
     with pytest.raises(TraceError) as exc:
         attempt(family_from_expression("(y - x)*(y + 2*x)", window=1.0))
     assert exc.value.reason == "parameters"
+
+
+def test_numpy_integer_parameters_are_taken():
+    traced = trace_with_retries(family_from_expression("(y - x)*(y + 2*x)", window=1.0), np.int64(128), np.int64(0))
+    assert len(traced.nodes) == 1
 
 
 def test_saddle_off_the_zero_level_is_discarded():
