@@ -18,10 +18,12 @@ entries.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
-from math import gcd, prod
+from itertools import accumulate
+from math import gcd
+from operator import index
 
 from .singularity import BranchType, SingularityType
 
@@ -80,7 +82,7 @@ class ConjPairType:
     """Normal form (s, i, m, n) of a pair of conjugate branches.
 
     ``intersection`` is the pair's intersection multiplicity, computed once
-    by the validation; it takes no part in equality, hashing or repr."""
+    when the fields are stored; it takes no part in equality, hashing or repr."""
 
     s: int
     i: int
@@ -89,10 +91,10 @@ class ConjPairType:
     intersection: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m, n = tuple(map(int, self.m)), tuple(map(int, self.n))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        s, i = self.s, self.i
+        try:
+            s, i, m, n = index(self.s), index(self.i), tuple(map(index, self.m)), tuple(map(index, self.n))
+        except TypeError as exc:
+            raise InvalidConjPair(f"s and i must be integers and m and n sequences of integers: {exc}") from exc
         if s < 1:
             raise InvalidConjPair("s must be >= 1")
         if not (0 <= i < s):
@@ -118,11 +120,17 @@ class ConjPairType:
         # acquire extra contact outside the factored-polynomial normal form
         if n[i] % 2 == 0:
             raise InvalidConjPair("n_{i+1} must be odd for a genuine conjugate pair")
-        object.__setattr__(self, "intersection", pair_intersection(self))
+        self._store(s, i, m, n)
 
-    @property
-    def mt(self) -> int:
-        return prod(self.n)
+    def _store(self, s: int, i: int, m: tuple[int, ...], n: tuple[int, ...]) -> ConjPairType:
+        """Store fields that already meet the normal form, unchecked, and the
+        intersection they give."""
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "intersection", pair_intersection(self))
+        return self
 
 
 @dataclass(frozen=True)
@@ -262,35 +270,6 @@ def to_cyclotomic(F: FactorForm) -> CycloVector:
     return CycloVector.__new__(CycloVector)._normalise(exps)
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
-    """Coefficients of Phi_d, lowest degree first, by exact division of
-    t^d - 1 by the proper-divisor cyclotomics."""
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in divisors(d):
-        if e == d:
-            continue
-        poly = _polydiv_exact(poly, list(_cyclotomic_coeffs(e)))
-    return tuple(poly)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dn)
-    for k in range(len(num) - 1 - dn, -1, -1):
-        c = num[k + dn]
-        assert c % lead == 0, "non-exact polynomial division"
-        q = c // lead
-        out[k] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[k + j] -= q * dj
-    assert all(c == 0 for c in num), "non-zero remainder"
-    return out
-
-
 # --- encoding ---------------------------------------------------------------
 
 
@@ -418,22 +397,42 @@ def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
 
 
 def enumerate_conj_pair_types(s_max: int, n_max: int, m_max: int):
-    """All valid types with s <= s_max, n_j <= n_max, m_j <= m_max.
-
-    Only normal-form tuples are generated: n_{i+1} odd, every other n_j
-    at least 2, m_1 >= n_1, m_j > m_{j-1} n_j and gcd(m_j, n_j) = 1, so no
-    construction fails.  They come in lexicographic (s, i, n, m) order;
-    the benchmark's seeded shuffle of the codec workload depends on it.
-    """
+    """All valid types with s <= s_max, n_j <= n_max, m_j <= m_max, in the
+    lexicographic (s, i, n, m) order that the codec benchmark's seeded shuffle
+    depends on, walking only normal-form tuples (see ConjPairType).  The least
+    m-chain n_1 .. n_j allows, c_1 = n_1 + [n_1 > 1], c_j = c_{j-1} n_j + 1, is
+    tight (c_j is coprime to n_j) and grows with n_j: the first n_j with
+    c_j > m_max ends that slot's loop.  For a whole n, m_j <= u_j, u_s = m_max,
+    u_j = (u_{j+1} - 1) // n_{j+1}, so every m_j bisected out of the values
+    coprime to n_j in [c, u_j] extends to a chain.  Each type is thus valid by
+    construction and stored once, by ConjPairType._store: __post_init__, the
+    gate for input from outside the program, would only check it again."""
+    coprime = [[mj for mj in range(m_max + 1) if gcd(mj, nj) == 1] for nj in range(min(n_max, m_max) + 1)]
     for s in range(1, s_max + 1):
         for i in range(s):
-            ranges = [range(1, n_max + 1, 2) if j == i else range(2, n_max + 1) for j in range(s)]
-            for n in product(*ranges):
-                ms = [(m0,) for m0 in range(n[0], m_max + 1) if gcd(m0, n[0]) == 1]
-                for nj in n[1:]:
-                    ms = [m + (mj,) for m in ms for mj in range(m[-1] * nj + 1, m_max + 1) if gcd(mj, nj) == 1]
-                for m in ms:
-                    yield ConjPairType(s, i, m, n)
+            for n in _n_walk(s, i, n_max, m_max, (), 0):
+                u = [*accumulate(n[:0:-1], lambda uj, nj: (uj - 1) // nj, initial=m_max)]  # u_s .. u_1
+                chains = [()]
+                for nj, uj in zip(n, reversed(u)):
+                    vals, top = coprime[nj], bisect_right(coprime[nj], uj)
+                    chains = [m + (mj,) for m in chains
+                              for mj in vals[bisect_left(vals, m[-1] * nj + 1 if m else nj):top]]
+                for m in chains:
+                    yield ConjPairType.__new__(ConjPairType)._store(s, i, m, n)
+
+
+def _n_walk(s: int, i: int, n_max: int, m_max: int, n: tuple[int, ...], c: int):
+    """In lexicographic order, the n that extend the prefix n, whose least
+    m-chain ends at c, and that allow an m-chain under m_max."""
+    j = len(n)
+    if j == s:
+        yield n
+        return
+    for nj in range(1, n_max + 1, 2) if j == i else range(2, n_max + 1):
+        cj = c * nj + 1 if j else nj + (nj > 1)
+        if cj > m_max:
+            break
+        yield from _n_walk(s, i, n_max, m_max, n + (nj,), cj)
 
 
 def conj_pair_to_json(T: ConjPairType) -> dict:

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -221,9 +221,10 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     """
     if not isinstance(grid_n, Integral) or grid_n < 64:
         raise TraceError("parameters", "grid_n must be an integer of at least 64")
-    t = family.t_default if t is None else float(t)
-    if not 0 < t < math.inf:
-        raise TraceError("parameters", "t must be positive and finite")
+    t = family.t_default if t is None else t
+    if not isinstance(t, Real) or not 0 < t < math.inf:
+        raise TraceError("parameters", "t must be a positive and finite real number")
+    t = float(t)
     W = family.window(t)
     if not 0 < W < math.inf:
         raise TraceError("parameters", "window must be positive and finite")
