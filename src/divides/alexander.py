@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import index
+from operator import index, mul
 
 from .singularity import BranchType, SingularityType
 
@@ -202,31 +202,33 @@ _branch = lru_cache(maxsize=None)(BranchType)
 
 def conj_pair_singularity(T: ConjPairType) -> SingularityType:
     """The two-branch singularity (pair plus its intersection) in the
-    invariant model's terms.  Branch types are frozen, so they are interned and
-    each is validated once: 1,292 serve the 19,358 types of
-    enumerate_conj_pair_types(4, 5, 40)."""
+    invariant model's terms, from interned branch types, each validated once
+    (1,292 serve the 19,358 types of enumerate_conj_pair_types(4, 5, 40)), and
+    stored unchecked, as it passes SingularityType's checks by construction: its
+    table is symmetric and its own mirror, and q = T.intersection >= b0^2 (b0 = suf[0]),
+    as pair_intersection's B[k] are >= B[0] >= b0 and its weights sum to suf[0]."""
     branch = _branch(branch_char_exponents(T))
     q = T.intersection
-    table = ((0, q), (q, 0))
-    return SingularityType((), (branch,), table)
+    return SingularityType.__new__(SingularityType)._store((), (branch,), ((0, q), (q, 0)), 2 * branch.delta + q)
 
 
 # --- factored and cyclotomic representations --------------------------------
 
 
 class _Exponents:
-    """Integer exponents over indices >= 1, summed per index, zeros dropped
-    and sorted by index; a subclass names the field that holds them."""
+    """Integer exponents over integer indices >= 1, zeros dropped and sorted
+    by index; a subclass names the field that holds them."""
 
     __slots__ = ()
     field = ""
 
     def __init__(self, exps: dict[int, int]):
-        clean: dict[int, int] = {}
-        for d, k in zip(map(int, exps), map(int, exps.values())):
-            if d < 1:
-                raise ValueError(f"{type(self).__name__} indices must be >= 1")
-            clean[d] = clean.get(d, 0) + k  # int() may merge two keys
+        try:
+            clean = dict(zip(map(index, exps), map(index, exps.values())))
+        except TypeError as exc:
+            raise ValueError(f"{type(self).__name__} indices and exponents must be integers: {exc}") from exc
+        if min(clean, default=1) < 1:
+            raise ValueError(f"{type(self).__name__} indices must be >= 1")
         self._normalise(clean)
 
     def _normalise(self, exps: dict[int, int]):
@@ -258,7 +260,7 @@ class CycloVector(_Exponents):
     field = "exps"
 
     def degree(self) -> int:
-        return sum(k * totient(d) for d, k in self.exps.items())
+        return sum(map(mul, self.exps.values(), map(totient, self.exps)))
 
 
 def to_cyclotomic(F: FactorForm) -> CycloVector:
@@ -328,7 +330,7 @@ def peel_sequence(v: CycloVector) -> tuple[tuple[int, int], ...]:
     return tuple(entries)
 
 
-def _read_peel(entries) -> tuple[int, int, list[int], list[int], list[int], list[int]]:
+def _read_peel(entries: tuple[tuple[int, int], ...]) -> tuple[int, int, list[int], list[int], list[int], list[int]]:
     """Read (s, i, m, n, w, suf) off the peel sequence of an encoded vector.
 
     In descending order, the peel sequence of alexander_encode(T) is its
@@ -342,13 +344,13 @@ def _read_peel(entries) -> tuple[int, int, list[int], list[int], list[int], list
     Indices strictly decrease along a peel sequence, so every ratio read
     here is at least 1.
     """
-    entries = list(entries)
-    top = []  # (n_j, e_j) for j = s down to i+2
-    while len(entries) >= 2 and entries[0][1] == 2 and entries[1][1] == -2:
-        (N, _), (e, _) = entries[:2]
+    t, top = 0, []  # (n_j, e_j) for j = s down to i+2
+    while len(entries) > t + 1 and entries[t][1] == 2 and entries[t + 1][1] == -2:
+        (N, _), (e, _) = entries[t], entries[t + 1]
         top.append((N // e, e))
-        del entries[:2]
-    if entries == [(1, 1)]:  # i = 0 and w_1 = m_1 = n_1 = 1
+        t += 2
+    entries = entries[t:]
+    if entries == ((1, 1),):  # i = 0 and w_1 = m_1 = n_1 = 1
         S, n_head, lows = None, 1, []
     else:
         width = 2 if entries and entries[0][1] == 2 else 1

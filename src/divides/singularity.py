@@ -111,8 +111,6 @@ class SingularityType:
 
     def __post_init__(self):
         reals, pairs = tuple(self.real_branches), tuple(self.conj_pairs)
-        object.__setattr__(self, "real_branches", reals)
-        object.__setattr__(self, "conj_pairs", pairs)
         n = len(reals) + 2 * len(pairs)
         if n == 0:
             raise InvalidSingularity("singularity needs at least one branch")
@@ -121,7 +119,6 @@ class SingularityType:
             table = table if table else ((0,),)
         if len(table) != n or any(len(row) != n for row in table):
             raise InvalidSingularity(f"intersection table must be {n}x{n}")
-        object.__setattr__(self, "intersections", table)
         mult = [b.multiplicity for b in reals] + [b.multiplicity for b in pairs for _ in (0, 1)]  # per slot
         # conjugation symmetry (invariance under swapping each pair slot with
         # its mirror, the conjugate branch's slot) is checked in the same pass
@@ -147,7 +144,15 @@ class SingularityType:
                 delta += q
         if unmirrored:
             raise InvalidSingularity(unmirrored)
+        self._store(reals, pairs, table, delta)
+
+    def _store(self, reals, pairs, table, delta: int) -> SingularityType:
+        """Store fields that pass the checks above, unchecked, with their delta."""
+        object.__setattr__(self, "real_branches", reals)
+        object.__setattr__(self, "conj_pairs", pairs)
+        object.__setattr__(self, "intersections", table)
         object.__setattr__(self, "delta", delta)
+        return self
 
     @property
     def re_br(self) -> int:

@@ -222,9 +222,12 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     if not isinstance(grid_n, Integral) or grid_n < 64:
         raise TraceError("parameters", "grid_n must be an integer of at least 64")
     t = family.t_default if t is None else t
-    if not isinstance(t, Real) or not 0 < t < math.inf:
+    try:
+        t = float(t) if isinstance(t, Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        t = math.inf
+    if not 0 < t < math.inf:
         raise TraceError("parameters", "t must be a positive and finite real number")
-    t = float(t)
     W = family.window(t)
     if not 0 < W < math.inf:
         raise TraceError("parameters", "window must be positive and finite")

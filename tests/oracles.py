@@ -12,9 +12,8 @@ symbolically, for the numeric coefficient matrices.  Two numeric
 references keep the tracer's array kernels honest: the evaluator as one
 einsum per partial, and the local minima of a grid by eight neighbour
 comparisons.  The strand artifacts are written again one point and one
-f-string at a time.  The codec's exponent maps are normalised again the
-way they were before the module shared one normaliser, and peeled again
-by summing the Moebius inversion.  The AG diagram's region-region edges
+f-string at a time.  The codec's exponent maps are normalised again
+one entry at a time, and peeled again by summing the Moebius inversion.  The AG diagram's region-region edges
 are found again from the divide's one-cells, its walks cut into edge
 chains.  The branch walks are checked step by step against the
 rotations, and their order against the boundary and the edge ids.
@@ -22,6 +21,7 @@ rotations, and their order against the boundary and the edge ids.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -232,17 +232,20 @@ def small_branch_grid(max_b0=6, max_exp=25, max_len=3):
 
 
 def exponents_reference(cls, exps: dict[int, int]) -> dict[int, int]:
-    """The map a FactorForm or CycloVector (cls) stores for exps, by the
-    constructor as it stood before the codec shared one normaliser."""
+    """The map a FactorForm or CycloVector (cls) stores for exps, one entry
+    at a time: every index and exponent is read as an integer, the first
+    that is none refused, then any index below 1, and zero entries dropped."""
     clean: dict[int, int] = {}
-    for d, k in zip(map(int, exps), map(int, exps.values())):
-        if d < 1:
-            raise ValueError(f"{cls.__name__} indices must be >= 1")
-        if d in clean:  # int() merged two keys
-            k += clean.pop(d)
-        if k:
-            clean[d] = k
-    return dict(sorted(clean.items()))
+    for d, k in exps.items():
+        for x in (d, k):
+            try:
+                operator.index(x)
+            except TypeError as exc:
+                raise ValueError(f"{cls.__name__} indices and exponents must be integers: {exc}") from exc
+        clean[operator.index(d)] = operator.index(k)
+    if any(d < 1 for d in clean):
+        raise ValueError(f"{cls.__name__} indices must be >= 1")
+    return {d: clean[d] for d in sorted(clean) if clean[d]}
 
 
 def peel_by_moebius(v: CycloVector) -> tuple[tuple[int, int], ...]:

@@ -200,6 +200,16 @@ class TestCyclotomic:
             with pytest.raises(ValueError):
                 cls({0: 1})
 
+    @pytest.mark.parametrize("cls, exps", [(CycloVector, {5.5: 1}), (FactorForm, {2: 1.5}), (CycloVector, {"3": 1})])
+    def test_non_integer_entries_rejected(self, cls, exps):
+        # each was truncated or coerced to an integer before
+        with pytest.raises(ValueError, match=f"^{cls.__name__} indices and exponents must be integers"):
+            cls(exps)
+
+    def test_numpy_integer_entries_become_ints(self):
+        v = CycloVector({np.int64(3): np.int64(2)})
+        assert v == CycloVector({3: 2}) and [type(x) for x in (*v.exps, *v.exps.values())] == [int, int]
+
     def test_totient_and_divisors(self):
         assert totient(1) == 1 and totient(4) == 2 and totient(12) == 4
         assert divisors(12) == (1, 2, 3, 4, 6, 12)
@@ -291,8 +301,8 @@ def random_exponent_maps(seed, count):
 
 
 class TestAgainstReferences:
-    """The shared normaliser and the peel against exponents_reference, the
-    constructor as it stood before, and peel_by_moebius, the closed form."""
+    """The shared normaliser and the peel against exponents_reference, one
+    entry at a time, and peel_by_moebius, the closed form."""
 
     def test_every_encoding(self):
         for T in enumerate_conj_pair_types(4, 5, 40):
@@ -536,6 +546,10 @@ class TestPairIntersection:
             # equal exponents share one instance
             fresh = SingularityType((), (BranchType(branch_char_exponents(T)),), table)
             assert invariants_report(sing) == invariants_report(fresh), T
+            # the unchecked build stores what the checked one does
+            assert sing == fresh and sing.delta == fresh.delta, T
+            assert repr(sing) == repr(fresh) and hash(sing) == hash(fresh), T
+            assert T.intersection >= sing.conj_pairs[0].multiplicity ** 2, T
             assert branches.setdefault(sing.conj_pairs[0].char_exponents, sing.conj_pairs[0]) is sing.conj_pairs[0]
             # the decoder re-encodes from the read-off w and suffix products
             s, i, m, n, w, suf = _read_peel(peel_sequence(to_cyclotomic(alexander_encode(T))))
