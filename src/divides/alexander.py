@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import index, mul
+from operator import mul
 
-from .singularity import BranchType, SingularityType
+from .singularity import BranchType, SingularityType, integers
 
 
 class InvalidConjPair(ValueError):
@@ -91,35 +91,9 @@ class ConjPairType:
     intersection: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            s, i, m, n = index(self.s), index(self.i), tuple(map(index, self.m)), tuple(map(index, self.n))
-        except TypeError as exc:
-            raise InvalidConjPair(f"s and i must be integers and m and n sequences of integers: {exc}") from exc
-        if s < 1:
-            raise InvalidConjPair("s must be >= 1")
-        if not (0 <= i < s):
-            raise InvalidConjPair("need 0 <= i < s")
-        if len(m) != s or len(n) != s:
-            raise InvalidConjPair("m and n must have length s")
-        if min(m) < 1 or min(n) < 1:
-            raise InvalidConjPair("m_j and n_j must be positive")
-        for j, (mj, nj) in enumerate(zip(m, n)):
-            if gcd(mj, nj) != 1:
-                raise InvalidConjPair(f"gcd(m_{j + 1}, n_{j + 1}) != 1")
-            if nj == 1 and j != i:
-                raise InvalidConjPair(f"n_{j + 1} must exceed 1 away from slot i+1")
-        # exponents m_j/(n_1..n_j) strictly increasing, starting at >= 1
-        if m[0] < n[0]:
-            raise InvalidConjPair("first exponent m_1/n_1 must be >= 1")
-        for j in range(1, s):
-            if m[j] <= m[j - 1] * n[j]:
-                raise InvalidConjPair("exponents must strictly increase")
-        # n_{i+1} must be odd: an even value admits a root of unity fixing
-        # the common part while killing the leading imaginary term, so the
-        # expansions either trace a single real branch (no pair at all) or
-        # acquire extra contact outside the factored-polynomial normal form
-        if n[i] % 2 == 0:
-            raise InvalidConjPair("n_{i+1} must be odd for a genuine conjugate pair")
+        s, i = integers((self.s, self.i), InvalidConjPair)
+        m, n = integers(self.m, InvalidConjPair), integers(self.n, InvalidConjPair)
+        _check_normal_form(s, i, m, n, InvalidConjPair)
         self._store(s, i, m, n)
 
     def _store(self, s: int, i: int, m: tuple[int, ...], n: tuple[int, ...]) -> ConjPairType:
@@ -131,6 +105,35 @@ class ConjPairType:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "intersection", pair_intersection(self))
         return self
+
+
+def _check_normal_form(s: int, i: int, m, n, error):
+    """Raise error(message) unless the ints (s, i, m, n) are a normal form."""
+    if s < 1:
+        raise error("s must be >= 1")
+    if not (0 <= i < s):
+        raise error("need 0 <= i < s")
+    if len(m) != s or len(n) != s:
+        raise error("m and n must have length s")
+    if min(m) < 1 or min(n) < 1:
+        raise error("m_j and n_j must be positive")
+    for j, (mj, nj) in enumerate(zip(m, n)):
+        if gcd(mj, nj) != 1:
+            raise error(f"gcd(m_{j + 1}, n_{j + 1}) != 1")
+        if nj == 1 and j != i:
+            raise error(f"n_{j + 1} must exceed 1 away from slot i+1")
+    # exponents m_j/(n_1..n_j) strictly increasing, starting at >= 1
+    if m[0] < n[0]:
+        raise error("first exponent m_1/n_1 must be >= 1")
+    for j in range(1, s):
+        if m[j] <= m[j - 1] * n[j]:
+            raise error("exponents must strictly increase")
+    # n_{i+1} must be odd: an even value admits a root of unity fixing
+    # the common part while killing the leading imaginary term, so the
+    # expansions either trace a single real branch (no pair at all) or
+    # acquire extra contact outside the factored-polynomial normal form
+    if n[i] % 2 == 0:
+        raise error("n_{i+1} must be odd for a genuine conjugate pair")
 
 
 @dataclass(frozen=True)
@@ -223,10 +226,9 @@ class _Exponents:
     field = ""
 
     def __init__(self, exps: dict[int, int]):
-        try:
-            clean = dict(zip(map(index, exps), map(index, exps.values())))
-        except TypeError as exc:
-            raise ValueError(f"{type(self).__name__} indices and exponents must be integers: {exc}") from exc
+        def error(message):
+            return ValueError(f"{type(self).__name__} indices and exponents must be integers: {message}")
+        clean = dict(zip(integers(exps, error), integers(exps.values(), error)))
         if min(clean, default=1) < 1:
             raise ValueError(f"{type(self).__name__} indices must be >= 1")
         self._normalise(clean)
@@ -389,13 +391,10 @@ def alexander_decode(v: CycloVector) -> ConjPairType | NodeType:
         return NodeType()
     entries = peel_sequence(v)
     s, i, m, n, w, suf = _read_peel(entries)
-    try:
-        T = ConjPairType(s, i, m, n)
-    except InvalidConjPair as exc:
-        raise NotInImage(f"read-off parameters are not a valid type: {exc}") from exc
+    _check_normal_form(s, i, m, n, lambda message: NotInImage(f"read-off parameters are not a valid type: {message}"))
     if {N: k for N, k in _factors(i, n, w, suf).items() if k} != dict(entries):
         raise NotInImage("read-off type does not re-encode to this vector")
-    return T
+    return ConjPairType.__new__(ConjPairType)._store(s, i, tuple(m), tuple(n))
 
 
 def enumerate_conj_pair_types(s_max: int, n_max: int, m_max: int):
@@ -442,10 +441,7 @@ def conj_pair_to_json(T: ConjPairType) -> dict:
 
 
 def conj_pair_from_json(obj: dict) -> ConjPairType:
-    try:
-        s, i, m, n = obj["s"], obj["i"], obj["m"], obj["n"]
+    try:  # ConjPairType raises only InvalidConjPair
+        return ConjPairType(obj["s"], obj["i"], obj["m"], obj["n"])
     except (KeyError, TypeError) as exc:
         raise InvalidConjPair(f"malformed conjugate-pair data: {exc}") from exc
-    if type(m) is not list or type(n) is not list or any(type(x) is not int for x in (s, i, *m, *n)):
-        raise InvalidConjPair(f"s and i must be integers and m and n arrays of integers: {obj!r}")
-    return ConjPairType(s, i, tuple(m), tuple(n))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .singularity import SingularityType
+from .singularity import SingularityType, integers
 
 
 class StructureError(ValueError):
@@ -46,11 +46,10 @@ class Branch:
 
 class Divide:
     def __init__(self, rotations, boundary=(), outer_face=None):
-        self.rotations: dict[int, tuple[int, ...]] = {
-            int(v): tuple(int(h) for h in rot) for v, rot in rotations.items()
-        }
-        self.boundary: tuple[int, ...] = tuple(int(v) for v in boundary)
-        self.outer_face: int | None = None if outer_face is None else int(outer_face)
+        self.rotations: dict[int, tuple[int, ...]] = dict(zip(
+            integers(rotations, StructureError), (integers(rot, StructureError) for rot in rotations.values())))
+        self.boundary: tuple[int, ...] = integers(boundary, StructureError)
+        self.outer_face: int | None = None if outer_face is None else integers((outer_face,), StructureError)[0]
         self._check_structure()
 
     # -- structural layer ---------------------------------------------------
@@ -379,15 +378,10 @@ def divide_from_json(obj: dict) -> Divide:
     """The divide of a divide_to_json object; the stored crossing count and
     branch walks, where present, must be those of the rotation system."""
     try:
-        d = Divide(
-            {int(v): rot for v, rot in obj["rotations"].items()},
-            obj.get("boundary", ()),
-            obj.get("outer_face"),
-        )
-    except StructureError:
-        raise
+        rotations = {int(v): rot for v, rot in obj["rotations"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed divide JSON: {exc}") from exc
+    d = Divide(rotations, obj.get("boundary", ()), obj.get("outer_face"))
     written = divide_to_json(d)
     for key in ("crossings", "branches"):
         if key in obj and obj[key] != written[key]:

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .singularity import BranchType, SingularityType
+from .singularity import BranchType, SingularityType, integers
 
 
 class FamilyError(ValueError):
@@ -155,7 +155,7 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
     differ.
     """
     w, ext, quad = _tangent(*tangent)
-    data = [{int(nexp): complex(a) for nexp, a in spec.items()} for spec in branches]
+    data = [dict(zip(integers(spec, FamilyError), map(complex, spec.values()))) for spec in branches]
     if any(nexp <= 1 for coeffs in data for nexp in coeffs):
         raise FamilyError("series exponents must exceed 1")
     s = len(data)
@@ -217,7 +217,7 @@ def chebyshev_like(p: int, c: float) -> list[float]:
     values are exact up to rounding, and radial_profile_levels, which needs
     them exact, solves for them.
     """
-    if p < 2:
+    if integers((p,), FamilyError)[0] < 2:
         raise FamilyError("degree must be at least 2")
     if not c > 0:
         raise FamilyError("critical level c must be positive")
@@ -301,7 +301,7 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
     The profile coefficients b_i(t) are solved per parameter value so the
     nodes land exactly on the zero level.
     """
-    p, q = int(p), int(q)
+    p, q = integers((p, q), FamilyError)
     if not (2 <= p < q):
         raise FamilyError("need 2 <= p < q")
     if gcd(p, q) != 1:
@@ -549,7 +549,7 @@ def family_parabola_pair(n: int) -> FamilySpec:
     a real coordinate change preserving the divide: the crossings sit at
     x = 1..n instead of collapsing toward the origin with t.
     """
-    n = int(n)
+    (n,) = integers((n,), FamilyError)
     if n < 2:
         raise FamilyError("need n >= 2")
     prod = reduce(_mul, (np.array([[-k], [1]]) for k in range(1, n + 1)))

@@ -11,10 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import index
 
 
 class InvalidSingularity(ValueError):
     """Raised when branch or intersection data violates a domain invariant."""
+
+
+def integers(values, error) -> tuple[int, ...]:
+    """values as ints, read by operator.index: numpy integers pass, and a float,
+    a numeric string, a bool or values that are not iterable raise error(message)."""
+    try:
+        values = tuple(values)
+        if bool in map(type, values):
+            raise TypeError("a bool is not read as an integer")
+        return tuple(map(index, values))
+    except TypeError as exc:
+        raise error(f"expected an integer sequence, got {values!r}") from exc
 
 
 def _multiplicity_sequence(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -58,7 +71,7 @@ class BranchType:
     delta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        exps = tuple(map(int, self.char_exponents))
+        exps = integers(self.char_exponents, InvalidSingularity)
         object.__setattr__(self, "char_exponents", exps)
         if not exps:
             raise InvalidSingularity("a branch needs at least the multiplicity exponent")
@@ -114,7 +127,9 @@ class SingularityType:
         n = len(reals) + 2 * len(pairs)
         if n == 0:
             raise InvalidSingularity("singularity needs at least one branch")
-        table = tuple(tuple(map(int, row)) for row in self.intersections)
+        if not all(isinstance(b, BranchType) for b in reals + pairs):
+            raise InvalidSingularity(f"every branch must be a BranchType: {reals + pairs!r}")
+        table = tuple(integers(row, InvalidSingularity) for row in self.intersections)
         if n == 1:
             table = table if table else ((0,),)
         if len(table) != n or any(len(row) != n for row in table):
@@ -204,13 +219,7 @@ class SingularityType:
 # Slot indexing: real branches first, then for each pair the Q slot followed
 # by the conjugate slot.  Entries derivable by conjugation symmetry may be
 # omitted; giving both with different values is an error.  Every exponent
-# and value must be a JSON integer: no number is truncated.
-
-
-def _json_int(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InvalidSingularity(f"expected an integer, got {x!r}")
-    return x
+# and value must be a JSON integer: the types read them by integers().
 
 
 def singularity_from_json(obj: dict) -> SingularityType:
@@ -218,7 +227,7 @@ def singularity_from_json(obj: dict) -> SingularityType:
     if not isinstance(obj, dict):
         raise InvalidSingularity(f"a singularity type is a JSON object, got {obj!r}")
     try:
-        reals, pairs = ([BranchType(tuple(map(_json_int, b["char_exponents"]))) for b in obj.get(key, [])]
+        reals, pairs = ([BranchType(b["char_exponents"]) for b in obj.get(key, [])]
                         for key in ("real_branches", "conj_pairs"))
     except (KeyError, TypeError) as exc:
         raise InvalidSingularity(f"malformed branch entry: {exc}") from exc
@@ -236,7 +245,6 @@ def singularity_from_json(obj: dict) -> SingularityType:
             raise InvalidSingularity(f"bad intersection key {key!r}, expected 'i,j'") from exc
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise InvalidSingularity(f"intersection key {key!r} out of range for {n} slots")
-        val = _json_int(val)
         for a, b in ((i, j), (mirror[i], mirror[j])):
             if table[a][b] not in (None, val):
                 raise InvalidSingularity(f"intersection {key!r}={val} conflicts with ({a},{b})={table[a][b]}")
@@ -244,7 +252,7 @@ def singularity_from_json(obj: dict) -> SingularityType:
     for i, row in enumerate(table):
         if None in row:
             raise InvalidSingularity(f"missing intersection entry for slots ({i},{row.index(None)})")
-    return SingularityType(reals, pairs, tuple(map(tuple, table)))
+    return SingularityType(reals, pairs, table)
 
 
 def singularity_to_json(s: SingularityType) -> dict:

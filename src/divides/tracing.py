@@ -57,12 +57,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from functools import partial
+from numbers import Real
 
 import numpy as np
 
 from .divide import Divide, StructureError, validate
 from .families import FamilySpec
+from .singularity import integers
 
 LEVEL_TOL = 1e-9
 ANGLE_TOL = 1e-3
@@ -219,11 +221,11 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     its singularity, a node count other than the singularity's
     ("node-count").
     """
-    if not isinstance(grid_n, Integral) or grid_n < 64:
+    if integers((grid_n,), partial(TraceError, "parameters"))[0] < 64:
         raise TraceError("parameters", "grid_n must be an integer of at least 64")
     t = family.t_default if t is None else t
     try:
-        t = float(t) if isinstance(t, Real) else math.nan
+        t = float(t) if isinstance(t, Real) and type(t) is not bool else math.nan
     except OverflowError:  # an int beyond the float range
         t = math.inf
     if not 0 < t < math.inf:
@@ -428,7 +430,7 @@ def trace_with_retries(family: FamilySpec, grid_n: int = 512, retries: int = 3) 
     this t, which a smaller t would only shrink further.  Once the grid is
     at its cap, or starts above it, it stays, and every failure halves t,
     so no attempt repeats."""
-    if not isinstance(retries, Integral) or retries < 0:
+    if integers((retries,), partial(TraceError, "parameters"))[0] < 0:
         raise TraceError("parameters", "retries must be an integer of at least 0")
     t = family.t_default
     attempts = []

@@ -21,7 +21,6 @@ rotations, and their order against the boundary and the edge ids.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -233,16 +232,14 @@ def small_branch_grid(max_b0=6, max_exp=25, max_len=3):
 
 def exponents_reference(cls, exps: dict[int, int]) -> dict[int, int]:
     """The map a FactorForm or CycloVector (cls) stores for exps, one entry
-    at a time: every index and exponent is read as an integer, the first
-    that is none refused, then any index below 1, and zero entries dropped."""
-    clean: dict[int, int] = {}
-    for d, k in exps.items():
-        for x in (d, k):
-            try:
-                operator.index(x)
-            except TypeError as exc:
-                raise ValueError(f"{cls.__name__} indices and exponents must be integers: {exc}") from exc
-        clean[operator.index(d)] = operator.index(k)
+    at a time: the indices, then the exponents, must each be an int or a numpy
+    integer and no bool, then any index below 1 is refused, and zero entries
+    are dropped."""
+    for values in (tuple(exps), tuple(exps.values())):
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
+            raise ValueError(f"{cls.__name__} indices and exponents must be integers: "
+                             f"expected an integer sequence, got {values!r}")
+    clean = {int(d): int(k) for d, k in exps.items()}
     if any(d < 1 for d in clean):
         raise ValueError(f"{cls.__name__} indices must be >= 1")
     return {d: clean[d] for d in sorted(clean) if clean[d]}
@@ -565,6 +562,14 @@ def strands_csv(traced) -> str:
     for e in sorted(traced.strand_paths):
         for idx, (x, y) in enumerate(traced.strand_paths[e].tolist()):
             rows.append(f"{branch_of_edge[e]},{e},{idx},{x:.12g},{y:.12g}")
+    return "\n".join(rows) + "\n"
+
+
+def nodes_csv(traced) -> str:
+    """render.nodes_csv with one f-string per node."""
+    rows = ["node,x,y,residual_f,residual_grad,tangent_gap"]
+    for k, nd in enumerate(traced.nodes):
+        rows.append(f"{k},{nd.x:.12g},{nd.y:.12g},{nd.residual_f:.12g},{nd.residual_grad:.12g},{nd.tangent_gap:.12g}")
     return "\n".join(rows) + "\n"
 
 

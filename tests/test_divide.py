@@ -91,13 +91,15 @@ class TestStructure:
             divide_from_json(obj)
 
     @pytest.mark.parametrize(
-        "obj",
-        [{"rotations": []}, {"rotations": {"a": [1, -1]}, "outer_face": -1},
-         {"rotations": {"0": ["x", -1]}, "outer_face": -1}],
+        "obj, message",
+        [({"rotations": []}, "malformed divide JSON"),
+         ({"rotations": {"a": [1, -1]}, "outer_face": -1}, "malformed divide JSON"),
+         # the Divide reads its ids itself: the reader parses only the text keys
+         ({"rotations": {"0": ["x", -1]}, "outer_face": -1}, r"expected an integer sequence, got \('x', -1\)")],
         ids=["list", "vertex-key", "half-edge"],
     )
-    def test_json_malformed(self, obj):
-        with pytest.raises(StructureError, match="malformed divide JSON"):
+    def test_json_malformed(self, obj, message):
+        with pytest.raises(StructureError, match=message):
             divide_from_json(obj)
 
     def test_json_keeps_the_structure_message(self):

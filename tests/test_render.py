@@ -1,4 +1,4 @@
-"""The artifact writers against the per-point f-string writers of
+"""The artifact writers against the per-point and per-node f-string writers of
 tests/oracles.py, byte for byte."""
 import numpy as np
 import pytest
@@ -31,6 +31,9 @@ def test_edge_values_match_the_per_point_writers():
     assert csv == oracles.strands_csv(traced)
     assert csv.splitlines()[1:3] == ["0,1,0,-0,1e-77", "0,2,0,1,-0"]
     assert render.svg_divide(traced) == oracles.svg_divide(traced)
+    nodes = render.nodes_csv(traced)
+    assert nodes == oracles.nodes_csv(traced)
+    assert nodes.splitlines()[1] == "0,0,-0,1e-77,0,1"
 
 
 @pytest.mark.parametrize("name", sorted(HANDPICKED))
@@ -40,3 +43,4 @@ def test_traced_handpicked_match_the_per_point_writers(name):
     traced = trace_with_retries(HANDPICKED[name](), retries=1)
     assert render.strands_csv(traced) == oracles.strands_csv(traced)
     assert render.svg_divide(traced) == oracles.svg_divide(traced)
+    assert render.nodes_csv(traced) == oracles.nodes_csv(traced)

@@ -1,6 +1,24 @@
+import numpy as np
 import pytest
 
-from divides.alexander import alexander_encode, conj_pair_singularity, enumerate_conj_pair_types, to_cyclotomic
+from divides.alexander import (
+    ConjPairType,
+    CycloVector,
+    InvalidConjPair,
+    alexander_encode,
+    conj_pair_singularity,
+    enumerate_conj_pair_types,
+    to_cyclotomic,
+)
+from divides.divide import Divide, StructureError
+from divides.families import (
+    FamilyError,
+    chebyshev_like,
+    family_from_expression,
+    family_one_puiseux_pair,
+    family_parabola_pair,
+    family_smooth_conjugate,
+)
 from divides.singularity import (
     BranchType,
     InvalidSingularity,
@@ -9,6 +27,7 @@ from divides.singularity import (
     singularity_from_json,
     singularity_to_json,
 )
+from divides.tracing import TraceError, trace_divide, trace_with_retries
 
 from fixtures import HANDPICKED
 from oracles import blowup_delta, blowup_multiplicity_sequence, delta_conductor, small_branch_grid
@@ -130,6 +149,11 @@ class TestSingularityValidation:
         s = SingularityType((SMOOTH,), ())
         assert s.delta == 0
         assert s.milnor == 0
+
+    def test_rejects_a_branch_that_is_no_branch_type(self):
+        # the exponents alone leaked AttributeError before
+        with pytest.raises(InvalidSingularity, match="BranchType"):
+            SingularityType((2,), (), ())
 
 
 class TestInvariants:
@@ -301,3 +325,42 @@ class TestReportAgainstFunctions:
     @pytest.mark.parametrize("name", sorted(HANDPICKED))
     def test_family_singularities(self, name):
         assert_report_matches_oracles(HANDPICKED[name]().singularity)
+
+
+def two_lines():
+    return family_from_expression("(y - x)*(y + 2*x)", window=1.0)
+
+
+# every constructor that reads integers from its caller: (site, error, the
+# valid value v at the slot the case fills)
+INTEGER_SITES = {
+    "BranchType": (lambda x: BranchType((x,)), InvalidSingularity, 1),
+    "SingularityType": (lambda x: SingularityType((SMOOTH, SMOOTH), (), ((0, x), (x, 0))), InvalidSingularity, 1),
+    "ConjPairType": (lambda x: ConjPairType(1, 0, (x,), (1,)), InvalidConjPair, 1),
+    "CycloVector": (lambda x: CycloVector({x: 1}), ValueError, 1),
+    "Divide": (lambda x: Divide({0: [x], 1: [-1]}, [0, 1]), StructureError, 1),
+    "smooth-conjugate": (lambda x: family_smooth_conjugate([{x: 1}]), FamilyError, 2),
+    "one-puiseux-pair": (lambda x: family_one_puiseux_pair(x, 3, 1), FamilyError, 2),
+    "parabola-pair": (lambda x: family_parabola_pair(x), FamilyError, 2),
+    "chebyshev-like": (lambda x: chebyshev_like(x, 1.0), FamilyError, 2),
+    "grid_n": (lambda x: trace_divide(two_lines(), grid_n=x), TraceError, 128),
+    "retries": (lambda x: trace_with_retries(two_lines(), retries=x), TraceError, 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "string", "bool"])
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_inputs_are_read_by_one_rule(site, kind):
+    """A float, a numeric string and a bool are refused with the site's own
+    error; each was truncated, parsed, taken as 1 or leaked TypeError at
+    some site before."""
+    build, error, v = INTEGER_SITES[site]
+    with pytest.raises(error) as exc:
+        build({"float": float(v), "string": str(v), "bool": True}[kind])
+    assert type(exc.value) is error and getattr(exc.value, "reason", "parameters") == "parameters"
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_numpy_integers_pass_every_site(site):
+    build, _, v = INTEGER_SITES[site]
+    build(np.int64(v))

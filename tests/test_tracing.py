@@ -562,13 +562,14 @@ def test_window_refusals_certify_on_their_retries(branches, tangent, t_ratio, gr
         lambda fam: trace_divide(fam, t=math.inf),
         lambda fam: trace_divide(fam, t=1j),
         lambda fam: trace_divide(fam, t="0.5"),
+        lambda fam: trace_divide(fam, t=True),
         lambda fam: trace_divide(fam, t=10**400),
         lambda fam: trace_divide(fam, t=Fraction(1, 10**400)),
         lambda fam: trace_with_retries(fam, retries=-1),
         lambda fam: trace_divide(fam, grid_n=512.0),
         lambda fam: trace_with_retries(fam, retries=1.5),
     ],
-    ids=["window-negative", "t-nan", "t-inf", "t-complex", "t-string", "t-huge-int", "t-underflow", "retries-negative", "grid_n-float", "retries-float"],
+    ids=["window-negative", "t-nan", "t-inf", "t-complex", "t-string", "t-bool", "t-huge-int", "t-underflow", "retries-negative", "grid_n-float", "retries-float"],
 )
 def test_bad_parameters_are_refused(attempt):
     with pytest.raises(TraceError) as exc:
