@@ -46,6 +46,8 @@ class Branch:
 
 class Divide:
     def __init__(self, rotations, boundary=(), outer_face=None):
+        if not isinstance(rotations, dict):
+            raise StructureError(f"rotations must be a dict of vertex ids to half-edge lists, got {rotations!r}")
         self.rotations: dict[int, tuple[int, ...]] = dict(zip(
             integers(rotations, StructureError), (integers(rot, StructureError) for rot in rotations.values())))
         self.boundary: tuple[int, ...] = integers(boundary, StructureError)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .singularity import BranchType, SingularityType, integers
+from .singularity import BranchType, SingularityType, complexes, integers, reals
 
 
 class FamilyError(ValueError):
@@ -133,12 +133,15 @@ def _power(A: np.ndarray, n: int) -> np.ndarray:
     return reduce(_mul, [A] * n, np.ones((1,) * A.ndim, A.dtype))
 
 
-def _tangent(alpha, beta) -> tuple[np.ndarray, float, tuple[float, float, float]]:
-    """The conjugate tangent pair u = +-iv, u = x + alpha y, v = beta y:
-    w = x + (alpha + i beta) y as a complex matrix, the extent in x and y
-    of the unit ellipse u^2 + v^2 = 1, and its coefficients (A, B, C), as
-    u^2 + v^2 = x^2 + 2 alpha x y + (alpha^2 + beta^2) y^2."""
-    a, b = float(alpha), float(beta)
+def _tangent(tangent) -> tuple[np.ndarray, float, tuple[float, float, float]]:
+    """The conjugate tangent pair u = +-iv, u = x + alpha y, v = beta y, of
+    tangent = (alpha, beta): w = x + (alpha + i beta) y as a complex matrix,
+    the extent in x and y of the unit ellipse u^2 + v^2 = 1, and its
+    coefficients (A, B, C), as u^2 + v^2 = x^2 + 2 alpha x y + (alpha^2 + beta^2) y^2."""
+    pair = reals(tangent, FamilyError)
+    if len(pair) != 2:
+        raise FamilyError(f"a tangent needs 2 real coefficients (alpha, beta), got {pair}")
+    a, b = pair
     if b == 0:
         raise FamilyError("beta must be nonzero: tangents must be non-real")
     return (np.array([[0, complex(a, b)], [1, 0]]), max(1.0 + abs(a) / abs(b), 1.0 / abs(b)),
@@ -154,8 +157,8 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
     2 n_ij + 2 points, n_ij being the first exponent where the series
     differ.
     """
-    w, ext, quad = _tangent(*tangent)
-    data = [dict(zip(integers(spec, FamilyError), map(complex, spec.values()))) for spec in branches]
+    w, ext, quad = _tangent(tangent)
+    data = [dict(zip(integers(spec, FamilyError), complexes(spec.values(), FamilyError))) for spec in branches]
     if any(nexp <= 1 for coeffs in data for nexp in coeffs):
         raise FamilyError("series exponents must exceed 1")
     s = len(data)
@@ -219,6 +222,7 @@ def chebyshev_like(p: int, c: float) -> list[float]:
     """
     if integers((p,), FamilyError)[0] < 2:
         raise FamilyError("degree must be at least 2")
+    (c,) = reals((c,), FamilyError)
     if not c > 0:
         raise FamilyError("critical level c must be positive")
     monic = 2 * np.polynomial.chebyshev.cheb2poly([0] * p + [1]) / 2.0 ** np.arange(p + 1)
@@ -306,8 +310,8 @@ def family_one_puiseux_pair(p: int, q: int, a, tangent=(0, 1)) -> FamilySpec:
         raise FamilyError("need 2 <= p < q")
     if gcd(p, q) != 1:
         raise FamilyError("p and q must be coprime")
-    w, ext, quad = _tangent(*tangent)
-    a = complex(a)
+    w, ext, quad = _tangent(tangent)
+    (a,) = complexes((a,), FamilyError)
     mod_a = abs(a)
     if mod_a == 0:
         raise FamilyError("a must be nonzero")
@@ -360,9 +364,10 @@ def family_semiquasi_pp(real_lines: Sequence[tuple], quadrics: Sequence[tuple], 
     composition could rescale, so the family states no quads and is never
     a composition part.
     """
-    lines = [tuple(map(float, ln)) for ln in real_lines]
-    quads = [tuple(map(float, qd)) for qd in quadrics]
-    bs = [float(x) for x in b]
+    lines, quads = ([reals(form, FamilyError) for form in forms] for forms in (real_lines, quadrics))
+    if any(len(ln) != 2 for ln in lines) or any(len(qd) != 3 for qd in quads):
+        raise FamilyError("a line needs 2 real coefficients and a quadric 3")
+    bs = reals(b, FamilyError)
     if len(bs) != len(quads):
         raise FamilyError("need one level b_i per quadric")
     if not quads and not lines:
@@ -449,16 +454,16 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
     Divides of distinct parts cross in mt_i * mt_j points near the
     intersections of their ellipses.
     """
-    if len(parts) != len(gammas):
+    gam = reals(gammas, FamilyError)
+    if len(parts) != len(gam):
         raise FamilyError("need one gamma per part")
     if not parts:
         raise FamilyError("empty composition")
-    gam = [float(g) for g in gammas]
     if any(g <= 0 for g in gam):
         raise FamilyError("gamma values must be positive")
     for i, spec in enumerate(parts):
-        if len(spec.quads) != 1:
-            raise FamilyError(f"part {i} is not one conjugate tangent pair without real branches")
+        if not isinstance(spec, FamilySpec) or len(spec.quads) != 1:
+            raise FamilyError(f"part {i} is not a family of one conjugate tangent pair without real branches")
     quads = tuple(spec.quads[0] for spec in parts)
     for (i, u), (j, v) in itertools.combinations(enumerate(quads), 2):
         if _proportional(u, v):
@@ -501,6 +506,9 @@ def family_from_expression(expr: str, window: float, singularity=None) -> Family
     non-negative integer literal exponent, so x**(1+1) and x**2**2 are
     refused.  Anything else raises FamilyError.  No node count is asserted
     unless a singularity is supplied."""
+    if not isinstance(expr, str):
+        raise FamilyError(f"expression must be a string, got {expr!r}")
+    (W,) = reals((window,), FamilyError)
     try:
         # ^ is replaced in the text, not the tree: it binds more loosely than +
         A = _polynomial(ast.parse(expr.strip().replace("^", "**"), mode="eval").body).astype(float)
@@ -510,7 +518,7 @@ def family_from_expression(expr: str, window: float, singularity=None) -> Family
         coeffs=lambda t: A @ t ** np.arange(A.shape[2]),
         tag="custom",
         t_default=0.1,
-        window=lambda t: float(window),
+        window=lambda t: W,
         singularity=singularity,
     )
 

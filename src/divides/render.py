@@ -1,8 +1,8 @@
 """Deterministic artifact writers for traced divides: SVG picture and CSV
 tables of strand polylines and node coordinates.
 
-Every number is written with 12 significant digits.  A polyline is
-formatted by one % operation over a repeated template."""
+Every number is written by a %.12g template, 12 significant digits: a node
+by one % operation, a polyline by one over a repeated template."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,11 +10,6 @@ import numpy as np
 from .tracing import TracedDivide
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
-
-
-def fmt(x: float) -> str:
-    """Fixed 12-significant-digit formatting used in every artifact."""
-    return f"{float(x):.12g}"
 
 
 def svg_divide(traced: TracedDivide) -> str:
@@ -37,10 +32,8 @@ def svg_divide(traced: TracedDivide) -> str:
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
     for k, nd in enumerate(traced.nodes):
-        lines.append(
-            f'<circle cx="{fmt((nd.x + W) * scale)}" cy="{fmt((W - nd.y) * scale)}" r="3" fill="black">'
-            f'<title>node {k}</title></circle>'
-        )
+        lines.append('<circle cx="%.12g" cy="%.12g" r="3" fill="black"><title>node %d</title></circle>'
+                     % ((nd.x + W) * scale, (W - nd.y) * scale, k))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -58,8 +51,6 @@ def strands_csv(traced: TracedDivide) -> str:
 
 def nodes_csv(traced: TracedDivide) -> str:
     rows = ["node,x,y,residual_f,residual_grad,tangent_gap"]
-    for k, nd in enumerate(traced.nodes):
-        rows.append(
-            f"{k},{fmt(nd.x)},{fmt(nd.y)},{fmt(nd.residual_f)},{fmt(nd.residual_grad)},{fmt(nd.tangent_gap)}"
-        )
+    rows += ["%d,%.12g,%.12g,%.12g,%.12g,%.12g" % (k, nd.x, nd.y, nd.residual_f, nd.residual_grad, nd.tangent_gap)
+             for k, nd in enumerate(traced.nodes)]
     return "\n".join(rows) + "\n"

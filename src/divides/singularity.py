@@ -9,8 +9,10 @@ node and region counts of a real morsification are properties on it.
 """
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass, field
 from math import gcd
+from numbers import Complex, Real
 from operator import index
 
 
@@ -18,16 +20,35 @@ class InvalidSingularity(ValueError):
     """Raised when branch or intersection data violates a domain invariant."""
 
 
-def integers(values, error) -> tuple[int, ...]:
-    """values as ints, read by operator.index: numpy integers pass, and a float,
-    a numeric string, a bool or values that are not iterable raise error(message)."""
+def _read(values, error, read, kind: str, number=None) -> tuple:
+    """values as a tuple of read(v) each, no v a bool and, if number is given,
+    each a finite number; else error(message), the caller's own exception."""
     try:
         values = tuple(values)
         if bool in map(type, values):
-            raise TypeError("a bool is not read as an integer")
-        return tuple(map(index, values))
-    except TypeError as exc:
-        raise error(f"expected an integer sequence, got {values!r}") from exc
+            raise TypeError("a bool is not read as a number")
+        if number and not all(isinstance(v, number) and isfinite(v) for v in values):
+            raise TypeError(f"not a finite {number.__name__} number")
+        return tuple(map(read, values))
+    except (TypeError, OverflowError) as exc:
+        raise error(f"expected {kind} sequence, got {values!r}") from exc
+
+
+def integers(values, error) -> tuple[int, ...]:
+    """values as ints, read by operator.index: numpy integers pass, and a float,
+    a numeric string, a bool or values that are not iterable raise error(message)."""
+    return _read(values, error, index, "an integer")
+
+
+def reals(values, error) -> tuple[float, ...]:
+    """values as finite floats: numpy reals and Fractions pass, and a numeric string,
+    a bool, NaN, +-inf, an int beyond the float range or a non-iterable raise error(message)."""
+    return _read(values, error, float, "a finite real", Real)
+
+
+def complexes(values, error) -> tuple[complex, ...]:
+    """values as finite complex numbers, by the rule of reals()."""
+    return _read(values, error, complex, "a finite complex", Complex)
 
 
 def _multiplicity_sequence(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -123,13 +144,16 @@ class SingularityType:
     delta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        reals, pairs = tuple(self.real_branches), tuple(self.conj_pairs)
+        try:
+            reals, pairs, rows = tuple(self.real_branches), tuple(self.conj_pairs), tuple(self.intersections)
+        except TypeError as exc:
+            raise InvalidSingularity(f"branches and intersections must be sequences: {exc}") from exc
         n = len(reals) + 2 * len(pairs)
         if n == 0:
             raise InvalidSingularity("singularity needs at least one branch")
         if not all(isinstance(b, BranchType) for b in reals + pairs):
             raise InvalidSingularity(f"every branch must be a BranchType: {reals + pairs!r}")
-        table = tuple(integers(row, InvalidSingularity) for row in self.intersections)
+        table = tuple(integers(row, InvalidSingularity) for row in rows)
         if n == 1:
             table = table if table else ((0,),)
         if len(table) != n or any(len(row) != n for row in table):
@@ -233,7 +257,8 @@ def singularity_from_json(obj: dict) -> SingularityType:
         raise InvalidSingularity(f"malformed branch entry: {exc}") from exc
     n = len(reals) + 2 * len(pairs)
     mirror = _mirror_slots(len(reals), n)
-    table = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    unset = object()  # a cell no entry has filled: a JSON null is a value like any other
+    table = [[0 if i == j else unset for j in range(n)] for i in range(n)]
     intersections = obj.get("intersections", {})
     if not isinstance(intersections, dict):
         raise InvalidSingularity(f"intersections must be an object, got {intersections!r}")
@@ -246,12 +271,12 @@ def singularity_from_json(obj: dict) -> SingularityType:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise InvalidSingularity(f"intersection key {key!r} out of range for {n} slots")
         for a, b in ((i, j), (mirror[i], mirror[j])):
-            if table[a][b] not in (None, val):
+            if table[a][b] not in (unset, val):
                 raise InvalidSingularity(f"intersection {key!r}={val} conflicts with ({a},{b})={table[a][b]}")
             table[a][b] = table[b][a] = val
     for i, row in enumerate(table):
-        if None in row:
-            raise InvalidSingularity(f"missing intersection entry for slots ({i},{row.index(None)})")
+        if unset in row:
+            raise InvalidSingularity(f"missing intersection entry for slots ({i},{row.index(unset)})")
     return SingularityType(reals, pairs, table)
 
 

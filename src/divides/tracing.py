@@ -58,13 +58,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Real
 
 import numpy as np
 
 from .divide import Divide, StructureError, validate
 from .families import FamilySpec
-from .singularity import integers
+from .singularity import integers, reals
 
 LEVEL_TOL = 1e-9
 ANGLE_TOL = 1e-3
@@ -223,13 +222,9 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     """
     if integers((grid_n,), partial(TraceError, "parameters"))[0] < 64:
         raise TraceError("parameters", "grid_n must be an integer of at least 64")
-    t = family.t_default if t is None else t
-    try:
-        t = float(t) if isinstance(t, Real) and type(t) is not bool else math.nan
-    except OverflowError:  # an int beyond the float range
-        t = math.inf
-    if not 0 < t < math.inf:
-        raise TraceError("parameters", "t must be a positive and finite real number")
+    (t,) = reals((family.t_default if t is None else t,), partial(TraceError, "parameters"))
+    if not t > 0:
+        raise TraceError("parameters", "t must be positive")
     W = family.window(t)
     if not 0 < W < math.inf:
         raise TraceError("parameters", "window must be positive and finite")

@@ -32,7 +32,7 @@ import sympy
 
 from divides.alexander import ConjPairType, CycloVector, InvalidConjPair, alexander_encode, to_cyclotomic
 from divides.families import radial_profile_levels
-from divides.render import PALETTE, fmt
+from divides.render import PALETTE
 
 X, Y, T = sympy.symbols("x y t", real=True)
 
@@ -529,6 +529,11 @@ def grid_stage(f, xs, ys):
     flags = np.stack([hx[ci, cj], vy[ci + 1, cj], hx[ci, cj + 1], vy[ci, cj]], axis=1)
     return float(max(-F.min(), F.max())), (hi, hj, F[hi, hj], F[hi + 1, hj], vi, vj, F[vi, vj], F[vi, vj + 1],
                                            ci, cj, flags, S[ci, cj])
+
+
+def fmt(x: float) -> str:
+    """Fixed 12-significant-digit formatting, one number at a time."""
+    return f"{float(x):.12g}"
 
 
 def svg_divide(traced) -> str:

@@ -42,6 +42,11 @@ FIXTURES = (
 
 
 class TestStructure:
+    def test_rotations_that_are_no_dict(self):
+        # leaked AttributeError from rotations.values() before
+        with pytest.raises(StructureError, match="rotations must be a dict"):
+            Divide([], [])
+
     def test_duplicate_half_edge(self):
         with pytest.raises(StructureError):
             Divide({0: [1, 1, -1, -1]}, [], -1)

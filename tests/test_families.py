@@ -255,6 +255,11 @@ class TestEllipseComposition:
         with pytest.raises(FamilyError):
             family_ellipse_composition([self.part((0, 1))], [1.0, 2.0])
 
+    def test_part_that_is_no_family_rejected(self):
+        # leaked AttributeError ("no attribute 'quads'") before
+        with pytest.raises(FamilyError, match="not a family of one conjugate tangent pair"):
+            family_ellipse_composition([1, 2], [1, 1])
+
 
 class TestParabolaPair:
     def test_counts(self):
@@ -270,6 +275,11 @@ class TestCustomExpression:
     def test_accepts_string(self):
         fam = family_from_expression("y**2 - x**2 + t", window=1.0)
         assert fam.singularity is None
+
+    def test_rejects_an_expression_that_is_no_string(self):
+        # leaked AttributeError ("no attribute 'strip'") before
+        with pytest.raises(FamilyError, match="must be a string"):
+            family_from_expression(5, 1.0)
 
     def test_rejects_foreign_symbols(self):
         with pytest.raises(FamilyError, match="may only involve x, y, t; found z"):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,9 +17,11 @@ from divides.divide import Divide, StructureError
 from divides.families import (
     FamilyError,
     chebyshev_like,
+    family_ellipse_composition,
     family_from_expression,
     family_one_puiseux_pair,
     family_parabola_pair,
+    family_semiquasi_pp,
     family_smooth_conjugate,
 )
 from divides.singularity import (
@@ -155,6 +160,12 @@ class TestSingularityValidation:
         with pytest.raises(InvalidSingularity, match="BranchType"):
             SingularityType((2,), (), ())
 
+    @pytest.mark.parametrize("fields", [(5, ()), ((SMOOTH,), (), 5)], ids=["branches", "intersections"])
+    def test_rejects_fields_that_are_not_sequences(self, fields):
+        # each leaked TypeError before
+        with pytest.raises(InvalidSingularity, match="must be sequences"):
+            SingularityType(*fields)
+
 
 class TestInvariants:
     def test_node(self):
@@ -248,11 +259,13 @@ class TestJson:
             {"real_branches": [{"char_exponents": [2.9, 3.2]}]},
             {"real_branches": [{"char_exponents": [1]}] * 2, "intersections": {"0,1": 2.7}},
             {"real_branches": [{"char_exponents": [1]}] * 2, "intersections": {"0,1": True}},
+            {"real_branches": [{"char_exponents": [1]}] * 2, "intersections": {"0,1": None}},
         ],
-        ids=["float-exponents", "float-value", "bool-value"],
+        ids=["float-exponents", "float-value", "bool-value", "null-value"],
     )
     def test_rejects_non_integers(self, obj):
-        # read as int(), these were the cusp (2, 3), a tangency 2 and a node
+        # read as int(), the first three were the cusp (2, 3), a tangency 2
+        # and a node; a null was reported as a missing entry
         with pytest.raises(InvalidSingularity, match="expected an integer"):
             singularity_from_json(obj)
 
@@ -364,3 +377,60 @@ def test_integer_inputs_are_read_by_one_rule(site, kind):
 def test_numpy_integers_pass_every_site(site):
     build, _, v = INTEGER_SITES[site]
     build(np.int64(v))
+
+
+def two_parts():
+    return [family_smooth_conjugate([{2: 1}], (0, 1)), family_smooth_conjugate([{2: -1}], (1, 1))]
+
+
+# every constructor that reads reals or complex numbers from its caller:
+# (site, error, the valid value v at the slot the case fills, complex or not)
+REAL_SITES = {
+    "tangent": (lambda x: family_smooth_conjugate([{2: 1}], tangent=(0, x)), FamilyError, 1.0, False),
+    "smooth-conjugate": (lambda x: family_smooth_conjugate([{2: x}]), FamilyError, 1.0, True),
+    "one-puiseux-pair": (lambda x: family_one_puiseux_pair(2, 3, x), FamilyError, 1.0, True),
+    "chebyshev-like": (lambda x: chebyshev_like(3, x), FamilyError, 1.0, False),
+    "semiquasi-line": (lambda x: family_semiquasi_pp([(1, x)], [(1, 0, 1)], [1]), FamilyError, 1.0, False),
+    "semiquasi-quadric": (lambda x: family_semiquasi_pp([], [(1, 0, x)], [1]), FamilyError, 1.0, False),
+    "semiquasi-level": (lambda x: family_semiquasi_pp([], [(1, 0, 1)], [x]), FamilyError, 1.0, False),
+    "ellipse-composition": (lambda x: family_ellipse_composition(two_parts(), [x, 1.6]), FamilyError, 1.0, False),
+    "window": (lambda x: family_from_expression("(y - x)*(y + 2*x)", window=x), FamilyError, 1.0, False),
+    "t": (lambda x: trace_divide(two_lines(), t=x, grid_n=128), TraceError, 0.1, False),
+}
+
+
+@pytest.mark.parametrize("kind", ["string", "bool", "nan", "inf"])
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_real_inputs_are_read_by_one_rule(site, kind):
+    """A numeric string, a bool, NaN and inf are refused with the site's own
+    error; at some site each was parsed, taken as 1, passed or leaked
+    TypeError, ValueError or LinAlgError before."""
+    build, error, v, _ = REAL_SITES[site]
+    with pytest.raises(error) as exc:
+        build({"string": str(v), "bool": True, "nan": math.nan, "inf": math.inf}[kind])
+    assert type(exc.value) is error and getattr(exc.value, "reason", "parameters") == "parameters"
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_numpy_reals_and_fractions_pass_every_site(site):
+    build, _, v, is_complex = REAL_SITES[site]
+    build(np.float64(v))
+    build(Fraction(v))
+    if is_complex:
+        build(np.complex128(v))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: family_smooth_conjugate([{2: 1}], tangent=(1,)),
+        lambda: family_smooth_conjugate([{2: 1}], tangent=(0, 1, 2)),
+        lambda: family_semiquasi_pp([(1,)], [], []),
+        lambda: family_semiquasi_pp([], [(1, 0)], [1]),
+    ],
+    ids=["tangent", "tangent-long", "line", "quadric"],
+)
+def test_wrong_length_forms_are_refused(build):
+    # the short tangent leaked TypeError, the short line ValueError
+    with pytest.raises(FamilyError, match="needs"):
+        build()
