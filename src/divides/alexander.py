@@ -25,7 +25,7 @@ from itertools import accumulate
 from math import gcd
 from operator import mul
 
-from .singularity import BranchType, SingularityType, integers
+from .singularity import BranchType, SingularityType, integers, mapping
 
 
 class InvalidConjPair(ValueError):
@@ -92,7 +92,7 @@ class ConjPairType:
 
     def __post_init__(self):
         s, i = integers((self.s, self.i), InvalidConjPair)
-        m, n = integers(self.m, InvalidConjPair), integers(self.n, InvalidConjPair)
+        m, n = integers(self.m, InvalidConjPair, s), integers(self.n, InvalidConjPair, s)
         _check_normal_form(s, i, m, n, InvalidConjPair)
         self._store(s, i, m, n)
 
@@ -108,13 +108,11 @@ class ConjPairType:
 
 
 def _check_normal_form(s: int, i: int, m, n, error):
-    """Raise error(message) unless the ints (s, i, m, n) are a normal form."""
+    """Raise error(message) unless the ints (s, i, m, n), m and n of length s, are a normal form."""
     if s < 1:
         raise error("s must be >= 1")
     if not (0 <= i < s):
         raise error("need 0 <= i < s")
-    if len(m) != s or len(n) != s:
-        raise error("m and n must have length s")
     if min(m) < 1 or min(n) < 1:
         raise error("m_j and n_j must be positive")
     for j, (mj, nj) in enumerate(zip(m, n)):
@@ -228,7 +226,7 @@ class _Exponents:
     def __init__(self, exps: dict[int, int]):
         def error(message):
             return ValueError(f"{type(self).__name__} indices and exponents must be integers: {message}")
-        clean = dict(zip(integers(exps, error), integers(exps.values(), error)))
+        clean = mapping(exps, error, integers, integers)
         if min(clean, default=1) < 1:
             raise ValueError(f"{type(self).__name__} indices must be >= 1")
         self._normalise(clean)
@@ -407,7 +405,8 @@ def enumerate_conj_pair_types(s_max: int, n_max: int, m_max: int):
     u_j = (u_{j+1} - 1) // n_{j+1}, so every m_j bisected out of the values
     coprime to n_j in [c, u_j] extends to a chain.  Each type is thus valid by
     construction and stored once, by ConjPairType._store: __post_init__, the
-    gate for input from outside the program, would only check it again."""
+    gate for input from outside the program, would only check it again.  The bounds are read by integers()."""
+    s_max, n_max, m_max = integers((s_max, n_max, m_max), ValueError)
     coprime = [[mj for mj in range(m_max + 1) if gcd(mj, nj) == 1] for nj in range(min(n_max, m_max) + 1)]
     for s in range(1, s_max + 1):
         for i in range(s):

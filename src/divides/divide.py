@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .singularity import SingularityType, integers
+from .singularity import SingularityType, integers, mapping
 
 
 class StructureError(ValueError):
@@ -46,10 +46,8 @@ class Branch:
 
 class Divide:
     def __init__(self, rotations, boundary=(), outer_face=None):
-        if not isinstance(rotations, dict):
-            raise StructureError(f"rotations must be a dict of vertex ids to half-edge lists, got {rotations!r}")
-        self.rotations: dict[int, tuple[int, ...]] = dict(zip(
-            integers(rotations, StructureError), (integers(rot, StructureError) for rot in rotations.values())))
+        self.rotations: dict[int, tuple[int, ...]] = mapping(
+            rotations, StructureError, integers, lambda rots, error: tuple(integers(rot, error) for rot in rots))
         self.boundary: tuple[int, ...] = integers(boundary, StructureError)
         self.outer_face: int | None = None if outer_face is None else integers((outer_face,), StructureError)[0]
         self._check_structure()

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .singularity import BranchType, SingularityType, complexes, integers, reals
+from .singularity import BranchType, SingularityType, complexes, integers, mapping, reals, sequence
 
 
 class FamilyError(ValueError):
@@ -138,10 +138,7 @@ def _tangent(tangent) -> tuple[np.ndarray, float, tuple[float, float, float]]:
     tangent = (alpha, beta): w = x + (alpha + i beta) y as a complex matrix,
     the extent in x and y of the unit ellipse u^2 + v^2 = 1, and its
     coefficients (A, B, C), as u^2 + v^2 = x^2 + 2 alpha x y + (alpha^2 + beta^2) y^2."""
-    pair = reals(tangent, FamilyError)
-    if len(pair) != 2:
-        raise FamilyError(f"a tangent needs 2 real coefficients (alpha, beta), got {pair}")
-    a, b = pair
+    a, b = reals(tangent, FamilyError, 2)
     if b == 0:
         raise FamilyError("beta must be nonzero: tangents must be non-real")
     return (np.array([[0, complex(a, b)], [1, 0]]), max(1.0 + abs(a) / abs(b), 1.0 / abs(b)),
@@ -158,7 +155,7 @@ def family_smooth_conjugate(branches: Sequence[dict], tangent=(0, 1)) -> FamilyS
     differ.
     """
     w, ext, quad = _tangent(tangent)
-    data = [dict(zip(integers(spec, FamilyError), complexes(spec.values(), FamilyError))) for spec in branches]
+    data = [mapping(spec, FamilyError, integers, complexes) for spec in sequence(branches, FamilyError)]
     if any(nexp <= 1 for coeffs in data for nexp in coeffs):
         raise FamilyError("series exponents must exceed 1")
     s = len(data)
@@ -364,12 +361,9 @@ def family_semiquasi_pp(real_lines: Sequence[tuple], quadrics: Sequence[tuple], 
     composition could rescale, so the family states no quads and is never
     a composition part.
     """
-    lines, quads = ([reals(form, FamilyError) for form in forms] for forms in (real_lines, quadrics))
-    if any(len(ln) != 2 for ln in lines) or any(len(qd) != 3 for qd in quads):
-        raise FamilyError("a line needs 2 real coefficients and a quadric 3")
-    bs = reals(b, FamilyError)
-    if len(bs) != len(quads):
-        raise FamilyError("need one level b_i per quadric")
+    lines, quads = ([reals(form, FamilyError, n) for form in sequence(forms, FamilyError)]
+                    for forms, n in ((real_lines, 2), (quadrics, 3)))
+    bs = reals(b, FamilyError, len(quads))  # one level per quadric
     if not quads and not lines:
         raise FamilyError("empty construction")
     for idx, (A, B, C) in enumerate(quads):
@@ -454,9 +448,8 @@ def family_ellipse_composition(parts: Sequence[FamilySpec], gammas: Sequence[flo
     Divides of distinct parts cross in mt_i * mt_j points near the
     intersections of their ellipses.
     """
-    gam = reals(gammas, FamilyError)
-    if len(parts) != len(gam):
-        raise FamilyError("need one gamma per part")
+    parts = sequence(parts, FamilyError)
+    gam = reals(gammas, FamilyError, len(parts))  # one gamma per part
     if not parts:
         raise FamilyError("empty composition")
     if any(g <= 0 for g in gam):
@@ -505,10 +498,12 @@ def family_from_expression(expr: str, window: float, singularity=None) -> Family
     by a non-zero constant, and ** (or ^, as sympify reads it) with a
     non-negative integer literal exponent, so x**(1+1) and x**2**2 are
     refused.  Anything else raises FamilyError.  No node count is asserted
-    unless a singularity is supplied."""
+    unless a singularity, a SingularityType, is supplied."""
     if not isinstance(expr, str):
         raise FamilyError(f"expression must be a string, got {expr!r}")
     (W,) = reals((window,), FamilyError)
+    if not (singularity is None or isinstance(singularity, SingularityType)):
+        raise FamilyError(f"singularity must be None or a SingularityType, got {singularity!r}")
     try:
         # ^ is replaced in the text, not the tree: it binds more loosely than +
         A = _polynomial(ast.parse(expr.strip().replace("^", "**"), mode="eval").body).astype(float)

@@ -6,10 +6,16 @@ pairwise intersection multiplicities.  Every invariant is an exact integer
 derived once, when the type is validated: a branch stores its multiplicity
 sequence and delta, a singularity its delta, and its Milnor number and the
 node and region counts of a real morsification are properties on it.
+
+Every container a caller hands in is read by one rule, raising the caller's
+own exception: integers, reals, complexes and sequence take any iterable but
+a mapping, integers and reals of an exact length when one is given, and
+mapping takes only a mapping, its keys and its values each read by another.
 """
 from __future__ import annotations
 
 from cmath import isfinite
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import gcd
 from numbers import Complex, Real
@@ -20,35 +26,53 @@ class InvalidSingularity(ValueError):
     """Raised when branch or intersection data violates a domain invariant."""
 
 
-def _read(values, error, read, kind: str, number=None) -> tuple:
-    """values as a tuple of read(v) each, no v a bool and, if number is given,
-    each a finite number; else error(message), the caller's own exception."""
+def _read(values, error, read, kind: str, number=None, length=None) -> tuple:
+    """values, a sequence and no mapping, as a tuple of read(v) each, no v a bool,
+    if number is given each a finite number, and if length is given that many;
+    else error(message), the caller's own exception."""
     try:
+        if isinstance(values, Mapping):
+            raise TypeError("a mapping is not read as a sequence")
         values = tuple(values)
-        if bool in map(type, values):
-            raise TypeError("a bool is not read as a number")
+        if length not in (None, len(values)) or bool in map(type, values):
+            raise TypeError("another length, or a bool")
         if number and not all(isinstance(v, number) and isfinite(v) for v in values):
             raise TypeError(f"not a finite {number.__name__} number")
         return tuple(map(read, values))
     except (TypeError, OverflowError) as exc:
-        raise error(f"expected {kind} sequence, got {values!r}") from exc
+        of = "" if length is None else f" of length {length}"
+        raise error(f"expected {kind} sequence{of}, got {values!r}") from exc
 
 
-def integers(values, error) -> tuple[int, ...]:
+def sequence(values, error) -> tuple:
+    """values as a tuple, by the rule of integers() but with any item but a bool passing."""
+    return _read(values, error, lambda v: v, "a")
+
+
+def integers(values, error, length=None) -> tuple[int, ...]:
     """values as ints, read by operator.index: numpy integers pass, and a float,
-    a numeric string, a bool or values that are not iterable raise error(message)."""
-    return _read(values, error, index, "an integer")
+    a numeric string, a bool, a mapping, values that are not iterable or, when
+    length is given, not that many raise error(message)."""
+    return _read(values, error, index, "an integer", length=length)
 
 
-def reals(values, error) -> tuple[float, ...]:
-    """values as finite floats: numpy reals and Fractions pass, and a numeric string,
-    a bool, NaN, +-inf, an int beyond the float range or a non-iterable raise error(message)."""
-    return _read(values, error, float, "a finite real", Real)
+def reals(values, error, length=None) -> tuple[float, ...]:
+    """values as finite floats, by the rule of integers(): numpy reals and Fractions
+    pass, and a numeric string, NaN, +-inf or an int beyond the float range raise."""
+    return _read(values, error, float, "a finite real", Real, length)
 
 
 def complexes(values, error) -> tuple[complex, ...]:
     """values as finite complex numbers, by the rule of reals()."""
     return _read(values, error, complex, "a finite complex", Complex)
+
+
+def mapping(values, error, keys, items) -> dict:
+    """values, a mapping and no other container, as a dict of its keys read by keys(keys,
+    error) to its values read by items(values, error), readers as above; else error(message)."""
+    if not isinstance(values, Mapping):
+        raise error(f"expected a mapping, got {values!r}")
+    return dict(zip(keys(values.keys(), error), items(values.values(), error)))
 
 
 def _multiplicity_sequence(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -144,10 +168,8 @@ class SingularityType:
     delta: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            reals, pairs, rows = tuple(self.real_branches), tuple(self.conj_pairs), tuple(self.intersections)
-        except TypeError as exc:
-            raise InvalidSingularity(f"branches and intersections must be sequences: {exc}") from exc
+        fields = self.real_branches, self.conj_pairs, self.intersections
+        reals, pairs, rows = (sequence(v, InvalidSingularity) for v in fields)
         n = len(reals) + 2 * len(pairs)
         if n == 0:
             raise InvalidSingularity("singularity needs at least one branch")

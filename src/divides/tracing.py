@@ -52,6 +52,12 @@ family states its singularity the zero set must meet the rim in exactly
 2 ReBr endpoints; any other count (a pair's oval clipped by the window,
 say) raises the reason "window" after the grid stage, before the seeds
 and Newton, since each frame crossing is a rim endpoint (see the check).
+
+A family that fails at t is refused with a reason: "parameters" for a window
+that raises, overflows or is not positive, and "evaluation", on which
+trace_with_retries halves t, for coefficients that raise or overflow or an F
+not finite on the grid.  A later overflow gives inf or NaN, not a warning,
+and the stages drop or refuse it.
 """
 from __future__ import annotations
 
@@ -210,6 +216,7 @@ def _grid(f, xs, ys):
     return f_scale, tuple(map(np.concatenate, zip(*kept)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the stages refuse or drop what is not finite
 def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) -> TracedDivide:
     """Single tracing attempt at fixed parameters.
 
@@ -225,10 +232,16 @@ def trace_divide(family: FamilySpec, t: float | None = None, grid_n: int = 512) 
     (t,) = reals((family.t_default if t is None else t,), partial(TraceError, "parameters"))
     if not t > 0:
         raise TraceError("parameters", "t must be positive")
-    W = family.window(t)
-    if not 0 < W < math.inf:
-        raise TraceError("parameters", "window must be positive and finite")
-    f, gradient, hessian = family.evaluators(t)
+    reason = "parameters"  # of a failure below: the window's, then the coefficients'
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            (W,) = reals((family.window(t),), partial(TraceError, reason))
+            if not W > 0:
+                raise TraceError(reason, "window must be positive")
+            reason = "evaluation"
+            f, gradient, hessian = family.evaluators(t)
+    except (ArithmeticError, ValueError) as exc:
+        raise TraceError(reason, f"family cannot be evaluated at t={t}: {exc}") from exc
     xs = ys = np.linspace(-W, W, grid_n + 1)
     cell = 2 * W / grid_n
     f_scale, (hi, hj, h0, h1, vi, vj, v0, v1, ci, cj, flags, corner) = _grid(f, xs, ys)

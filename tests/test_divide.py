@@ -44,7 +44,7 @@ FIXTURES = (
 class TestStructure:
     def test_rotations_that_are_no_dict(self):
         # leaked AttributeError from rotations.values() before
-        with pytest.raises(StructureError, match="rotations must be a dict"):
+        with pytest.raises(StructureError, match="expected a mapping"):
             Divide([], [])
 
     def test_duplicate_half_edge(self):

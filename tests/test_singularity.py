@@ -7,6 +7,7 @@ import pytest
 from divides.alexander import (
     ConjPairType,
     CycloVector,
+    FactorForm,
     InvalidConjPair,
     alexander_encode,
     conj_pair_singularity,
@@ -163,7 +164,7 @@ class TestSingularityValidation:
     @pytest.mark.parametrize("fields", [(5, ()), ((SMOOTH,), (), 5)], ids=["branches", "intersections"])
     def test_rejects_fields_that_are_not_sequences(self, fields):
         # each leaked TypeError before
-        with pytest.raises(InvalidSingularity, match="must be sequences"):
+        with pytest.raises(InvalidSingularity, match="expected a sequence"):
             SingularityType(*fields)
 
 
@@ -351,6 +352,7 @@ INTEGER_SITES = {
     "SingularityType": (lambda x: SingularityType((SMOOTH, SMOOTH), (), ((0, x), (x, 0))), InvalidSingularity, 1),
     "ConjPairType": (lambda x: ConjPairType(1, 0, (x,), (1,)), InvalidConjPair, 1),
     "CycloVector": (lambda x: CycloVector({x: 1}), ValueError, 1),
+    "enumerate_conj_pair_types": (lambda x: list(enumerate_conj_pair_types(x, 2, 3)), ValueError, 1),
     "Divide": (lambda x: Divide({0: [x], 1: [-1]}, [0, 1]), StructureError, 1),
     "smooth-conjugate": (lambda x: family_smooth_conjugate([{x: 1}]), FamilyError, 2),
     "one-puiseux-pair": (lambda x: family_one_puiseux_pair(x, 3, 1), FamilyError, 2),
@@ -420,17 +422,52 @@ def test_numpy_reals_and_fractions_pass_every_site(site):
         build(np.complex128(v))
 
 
+# every container a caller hands in: (site, error, {case: value}).  The cases
+# that apply to a site: "not-iterable"; "wrong-form", a list where a mapping
+# is due or a mapping where a sequence is due; and an item of the wrong
+# length ("wrong-length", or "short" and "long").  Before these sites were
+# read by the rule, a mapping where a sequence was due was read by its keys,
+# a list where a mapping was due leaked AttributeError, a branch, line,
+# quadric or part list that is not iterable leaked TypeError, and an
+# expression family took any singularity.
+PARTS = two_parts()
+CONTAINER_SITES = {
+    "smooth-conjugate-branches": (family_smooth_conjugate, FamilyError, {"not-iterable": 5, "wrong-form": {2: 1}}),
+    "smooth-conjugate-branch": (lambda x: family_smooth_conjugate([x]), FamilyError,
+                                {"not-iterable": 2, "wrong-form": [2]}),
+    "tangent": (lambda x: family_smooth_conjugate([{2: 1}], tangent=x), FamilyError,
+                {"not-iterable": 1, "wrong-form": {0: 0, 1: 1}, "short": (1,), "long": (0, 1, 2)}),
+    "semiquasi-lines": (lambda x: family_semiquasi_pp(x, [], []), FamilyError,
+                        {"not-iterable": 5, "wrong-form": {0: (1, 0)}, "wrong-length": [(1,)]}),
+    "semiquasi-quadrics": (lambda x: family_semiquasi_pp([], x, [1]), FamilyError,
+                           {"not-iterable": 5, "wrong-form": {0: (1, 0, 1)}, "wrong-length": [(1, 0)]}),
+    "semiquasi-levels": (lambda x: family_semiquasi_pp([], [(1, 0, 1)], x), FamilyError,
+                         {"not-iterable": 1, "wrong-form": {0: 1}, "wrong-length": [1, 1]}),
+    "ellipse-parts": (lambda x: family_ellipse_composition(x, [1.0, 1.6]), FamilyError,
+                      {"not-iterable": 5, "wrong-form": dict(enumerate(PARTS)), "wrong-length": PARTS[:1]}),
+    "ellipse-gammas": (lambda x: family_ellipse_composition(PARTS, x), FamilyError,
+                       {"not-iterable": 1.0, "wrong-form": {0: 1.0, 1: 1.6}, "wrong-length": [1.0]}),
+    "expression-singularity": (lambda x: family_from_expression("x*y", 1.0, x), FamilyError,
+                               {"not-iterable": 5, "wrong-form": singularity_to_json(node_type()), "string": "node"}),
+    "FactorForm": (FactorForm, ValueError, {"not-iterable": 5, "wrong-form": [1]}),
+    "CycloVector": (CycloVector, ValueError, {"not-iterable": 5, "wrong-form": [1, 2]}),
+    "ConjPairType-m": (lambda x: ConjPairType(1, 0, x, (1,)), InvalidConjPair,
+                       {"not-iterable": 1, "wrong-form": {1: 1}, "wrong-length": (1, 2)}),
+    "ConjPairType-n": (lambda x: ConjPairType(1, 0, (1,), x), InvalidConjPair,
+                       {"not-iterable": 1, "wrong-form": {1: 1}, "wrong-length": (1, 1)}),
+    "SingularityType-table": (lambda x: SingularityType((SMOOTH, SMOOTH), (), x), InvalidSingularity,
+                              {"not-iterable": 5, "wrong-form": {0: (0, 1), 1: (1, 0)}, "wrong-length": ((0, 1),)}),
+    "Divide": (lambda x: Divide(x, [0, 1]), StructureError, {"not-iterable": 5, "wrong-form": [[1], [-1]]}),
+}
+
+
 @pytest.mark.parametrize(
-    "build",
-    [
-        lambda: family_smooth_conjugate([{2: 1}], tangent=(1,)),
-        lambda: family_smooth_conjugate([{2: 1}], tangent=(0, 1, 2)),
-        lambda: family_semiquasi_pp([(1,)], [], []),
-        lambda: family_semiquasi_pp([], [(1, 0)], [1]),
-    ],
-    ids=["tangent", "tangent-long", "line", "quadric"],
+    "site, case",
+    [(site, case) for site, (_, _, cases) in sorted(CONTAINER_SITES.items()) for case in cases],
+    ids=lambda v: v,
 )
-def test_wrong_length_forms_are_refused(build):
-    # the short tangent leaked TypeError, the short line ValueError
-    with pytest.raises(FamilyError, match="needs"):
-        build()
+def test_containers_are_read_by_one_rule(site, case):
+    build, error, cases = CONTAINER_SITES[site]
+    with pytest.raises(error) as exc:
+        build(cases[case])
+    assert type(exc.value) is error

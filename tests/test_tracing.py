@@ -577,6 +577,42 @@ def test_bad_parameters_are_refused(attempt):
     assert exc.value.reason == "parameters"
 
 
+# how each handpicked family fails at t = 1e200: a window that overflows to
+# inf is refused as "parameters", coefficients that raise (the one-pair
+# profile solve) or overflow as "evaluation"
+HUGE_T_REASONS = {"ellipse-composition": "parameters", "one-pair-3-4": "evaluation", "parabola-pair-3": "evaluation",
+                  "semiquasi": "evaluation", "smooth-conjugate": "parameters"}
+
+
+@pytest.mark.parametrize("name", sorted(HANDPICKED))
+def test_a_family_that_fails_at_t_is_refused(name):
+    # the one-pair, parabola and semiquasi families leaked FamilyError or
+    # numpy's overflow warning before
+    with pytest.raises(TraceError) as exc:
+        trace_divide(HANDPICKED[name](), t=1e200, grid_n=64)
+    assert exc.value.reason == HUGE_T_REASONS[name]
+
+
+def test_a_window_that_raises_is_refused_as_parameters():
+    # t ** 2 in this window raises OverflowError at t = 1e200, which leaked before
+    with pytest.raises(TraceError) as exc:
+        trace_divide(family_smooth_conjugate([{2: 1, 3: 1}]), t=1e200, grid_n=64)
+    assert exc.value.reason == "parameters"
+
+
+@pytest.mark.parametrize("exponent", [10, 20, 50, 100, 150])
+@pytest.mark.parametrize("name", sorted(HANDPICKED))
+def test_large_t_ends_in_a_trace_error_or_a_divide(name, exponent):
+    """Between t = 1e10 and 1e150 the profile solve fails or F and its
+    gradient overflow on the grids, which leaked FamilyError or numpy's
+    overflow warning before: the stages refuse a non-finite F as
+    "evaluation" and drop what else is not finite."""
+    try:
+        trace_divide(HANDPICKED[name](), t=10.0**exponent, grid_n=64)
+    except TraceError:
+        pass
+
+
 def test_numpy_integer_parameters_are_taken():
     traced = trace_with_retries(family_from_expression("(y - x)*(y + 2*x)", window=1.0), np.int64(128), np.int64(0))
     assert len(traced.nodes) == 1
